@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race check cover audit stress overload crash bench benchquick benchcmp benchall
+.PHONY: all build vet test race check cover nogob audit stress overload crash bench benchquick benchcmp benchall
 
 all: check
 
@@ -30,6 +30,16 @@ cover:
 	awk -v t="$$total" -v min=$(COVER_MIN) 'BEGIN { exit (t+0 < min) ? 1 : 0 }' || \
 		{ echo "coverage $$total% below floor $(COVER_MIN)%"; exit 1; }
 
+# nogob keeps the TCP transport at one wire format: encoding/gob may appear in
+# tests (as the codec's independent oracle) and in cmd/bench (as a baseline
+# row), but nothing that ships — internal/, semeld, milctl, loadgen — may
+# import it. go list's .Imports leaves test-only imports out.
+NOGOB_PKGS = ./internal/... ./cmd/semeld ./cmd/milctl ./cmd/loadgen
+nogob:
+	@bad=$$($(GO) list -f '{{.ImportPath}}: {{join .Imports " "}}' $(NOGOB_PKGS) | grep -w 'encoding/gob' | cut -d: -f1); \
+	if [ -n "$$bad" ]; then echo "nogob: encoding/gob imported outside tests by:"; echo "$$bad"; exit 1; fi; \
+	echo "nogob: ok"
+
 # audit runs the online-audit gate under the race detector: chaos runs with
 # the streaming auditor attached must stay silent (zero convictions, zero
 # ε violations), a mutated cluster must be convicted online, the streaming
@@ -42,11 +52,12 @@ audit:
 # check is the PR verify gate: everything must build, vet clean, pass the
 # full test suite under the race detector (which includes a small
 # 2-seed × 3-profile chaos sweep via TestStressChaosSweep and the online
-# audit suite), hold the coverage floor, and survive the crash/durability
-# gate.
+# audit suite), hold the coverage floor, survive the crash/durability gate,
+# and keep encoding/gob out of everything that ships.
 check:
 	$(GO) build ./...
 	$(GO) vet ./...
+	$(MAKE) nogob
 	$(GO) test -race ./...
 	$(MAKE) cover
 	$(MAKE) crash

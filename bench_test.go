@@ -368,7 +368,7 @@ func (l *benchLateHandler) Serve(ctx context.Context, req any) (any, error) {
 
 // benchmarkTCPPut measures the replicated put path over real loopback TCP
 // (3 replicas, DRAM) at 64 concurrent clients — the transport where
-// replication batching pays, because every message costs gob encoding and
+// replication batching pays, because every message costs encoding and
 // syscalls. See cmd/bench for the standalone version with latency
 // percentiles.
 func benchmarkTCPPut(b *testing.B, disableBatch bool) {

@@ -12,15 +12,14 @@ import (
 
 // codecMicrobenchmarks measures message-level round trips (encode one
 // message, decode it back) for the two hot-path messages the wire codec was
-// built around, in three flavors:
+// built around, in two flavors:
 //
 //   - *-v1: wire.Codec Append into a reused buffer + Decode. This is the
 //     per-frame work the transport does on the hot path.
 //   - *-gob: a fresh gob encoder/decoder per message, i.e. the cost of gob
 //     as a stateless message codec (type descriptors retransmitted every
-//     time). This is the apples-to-apples baseline for a standalone frame.
-//   - *-gob-stream: one persistent gob encoder/decoder pair, the transport's
-//     actual fallback (descriptors amortized over a connection's lifetime).
+//     time). Nothing outside this command speaks gob; the row is the
+//     baseline the codec's numbers are read against.
 //
 // Results ride the same JSON trajectory as the scenario benchmarks, with
 // ns/op, B/op and allocs/op from testing.Benchmark + ReportAllocs.
@@ -44,10 +43,10 @@ func codecMicrobenchmarks() []result {
 	}
 	var out []result
 	for _, m := range msgs {
+		gob.Register(m.msg)
 		out = append(out,
 			microResult(m.name+"-v1", "wire codec v1 Append+Decode, reused buffer", benchV1(m.msg)),
 			microResult(m.name+"-gob", "fresh gob encoder/decoder per message (stateless baseline)", benchGobFresh(m.msg)),
-			microResult(m.name+"-gob-stream", "persistent gob stream pair (transport fallback path)", benchGobStream(m.msg)),
 		)
 	}
 	return out
@@ -95,25 +94,6 @@ func benchGobFresh(msg any) testing.BenchmarkResult {
 			}
 			var out any
 			if err := gob.NewDecoder(&buf).Decode(&out); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-func benchGobStream(msg any) testing.BenchmarkResult {
-	return testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		var buf bytes.Buffer
-		enc := gob.NewEncoder(&buf)
-		dec := gob.NewDecoder(&buf)
-		for i := 0; i < b.N; i++ {
-			holder := msg
-			if err := enc.Encode(&holder); err != nil {
-				b.Fatal(err)
-			}
-			var out any
-			if err := dec.Decode(&out); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -11,10 +11,7 @@
 //   - put/unbatched vs put/batched — the replicated SEMEL write path
 //     (1 shard × 3 replicas, DRAM) over real loopback TCP at -conc
 //     concurrent clients. Over a real transport every message costs
-//     encoding and syscalls, so this isolates what batching and the binary
-//     wire codec amortize. put/batched-gob forces the gob fallback frames
-//     on the same harness: the batched-vs-batched-gob ratio is the codec's
-//     end-to-end win.
+//     encoding and syscalls, so this isolates what batching amortizes.
 //   - put/unbatched-flash vs put/batched-flash — the same comparison on
 //     MFTL with real flash sleeps and a data-center latency model. This
 //     is the end-to-end number; wins here are bounded by the physical
@@ -24,13 +21,12 @@
 //     differs only in the WAL append + group fsync under every ack, so the
 //     ratio is the end-to-end price of crash durability (log-before-ack).
 //   - multiget/serial vs multiget/parallel — snapshot reads of 16 keys per
-//     call over loopback TCP against DRAM, so the RPC path is the cost.
-//     multiget/gob forces gob frames on the parallel harness (the codec
-//     comparison); the -flash variants rerun the pair against MFTL with
-//     real flash read sleeps, where the win is channel overlap, not CPU.
+//     call over loopback TCP against DRAM, so the RPC path is the cost;
+//     the -flash variants rerun the pair against MFTL with real flash read
+//     sleeps, where the win is channel overlap, not CPU.
 //   - codec/* — message-level microbenchmarks (testing.Benchmark with
-//     allocation counts) for codec-v1 Append+Decode round trips vs the gob
-//     fallback, per-message and per-connection-stream flavors.
+//     allocation counts) for codec-v1 Append+Decode round trips vs a
+//     stateless gob baseline that exists only in this command.
 package main
 
 import (
@@ -139,16 +135,12 @@ func main() {
 
 	fmt.Printf("put path (DRAM over loopback TCP; isolates RPC amortization), conc=%d:\n", *conc)
 	if want("put/unbatched") {
-		record(runTCPPut("put/unbatched", true, false, *conc, *dur))
+		record(runTCPPut("put/unbatched", true, *conc, *dur))
 	}
 	if want("put/batched") {
-		record(runTCPPut("put/batched", false, false, *conc, *dur))
-	}
-	if want("put/batched-gob") {
-		record(runTCPPut("put/batched-gob", false, true, *conc, *dur))
+		record(runTCPPut("put/batched", false, *conc, *dur))
 	}
 	ratio("batching win", "put/unbatched", "put/batched")
-	ratio("codec win", "put/batched-gob", "put/batched")
 
 	fmt.Printf("put path (MFTL, real flash sleeps, DC latency; end-to-end), conc=%d:\n", *conc)
 	if want("put/unbatched-flash") {
@@ -184,15 +176,11 @@ func main() {
 
 	fmt.Printf("multiget fan-out (DRAM over loopback TCP, 16 keys per call), conc=%d:\n", *conc)
 	if want("multiget/serial") {
-		record(runTCPMultiGet("multiget/serial", true, false, *conc, *dur))
+		record(runTCPMultiGet("multiget/serial", true, *conc, *dur))
 	}
 	if want("multiget/parallel") {
-		record(runTCPMultiGet("multiget/parallel", false, false, *conc, *dur))
+		record(runTCPMultiGet("multiget/parallel", false, *conc, *dur))
 	}
-	if want("multiget/gob") {
-		record(runTCPMultiGet("multiget/gob", false, true, *conc, *dur))
-	}
-	ratio("codec win", "multiget/gob", "multiget/parallel")
 
 	fmt.Printf("multiget fan-out (MFTL, real flash read sleeps, 16 keys per call), conc=4:\n")
 	if want("multiget/serial-flash") {
@@ -274,10 +262,8 @@ func (l *lateHandler) Serve(ctx context.Context, req any) (any, error) {
 // runTCPPut measures the replicated put path over real loopback TCP: three
 // replicas, each its own TCP server, DRAM storage so the transport is the
 // only cost. Clients share one connection per server, as one application
-// process would. forceGob pins every client (application and replication)
-// to the gob fallback frames, isolating the binary codec's contribution on
-// an otherwise identical harness.
-func runTCPPut(name string, disableBatch, forceGob bool, conc int, dur time.Duration) result {
+// process would.
+func runTCPPut(name string, disableBatch bool, conc int, dur time.Duration) result {
 	const replicas = 3
 	handlers := make([]*lateHandler, replicas)
 	tcpSrvs := make([]*transport.TCPServer, replicas)
@@ -299,7 +285,7 @@ func runTCPPut(name string, disableBatch, forceGob bool, conc int, dur time.Dura
 	servers := make([]*semel.Server, replicas)
 	nets := make([]*transport.TCPClient, replicas)
 	for i := range servers {
-		nets[i] = transport.NewTCPClientOpts(transport.TCPClientOptions{ForceGob: forceGob})
+		nets[i] = transport.NewTCPClient()
 		srv, err := semel.NewServer(semel.ServerOptions{
 			Addr:                addrs[i],
 			Shard:               0,
@@ -322,7 +308,7 @@ func runTCPPut(name string, disableBatch, forceGob bool, conc int, dur time.Dura
 		servers[i] = srv
 		handlers[i].set(srv)
 	}
-	cliNet := transport.NewTCPClientOpts(transport.TCPClientOptions{ForceGob: forceGob})
+	cliNet := transport.NewTCPClient()
 	defer func() {
 		for _, s := range servers {
 			s.Close()
@@ -382,9 +368,6 @@ func runTCPPut(name string, disableBatch, forceGob bool, conc int, dur time.Dura
 	if disableBatch {
 		notes = "one replication RPC per put, DRAM over loopback TCP"
 	}
-	if forceGob {
-		notes += ", gob fallback frames forced (codec baseline)"
-	}
 	return result{
 		Name:        name,
 		Concurrency: conc,
@@ -399,9 +382,8 @@ func runTCPPut(name string, disableBatch, forceGob bool, conc int, dur time.Dura
 // runTCPMultiGet measures snapshot multigets over real loopback TCP against
 // a single DRAM replica: 16 keys per call, so each RPC carries a fat
 // request and a fatter response and the encode/decode path dominates.
-// serialReads disables the server's per-key fan-out (the PR-2 baseline);
-// forceGob pins the connection to gob fallback frames (the codec baseline).
-func runTCPMultiGet(name string, serialReads, forceGob bool, conc int, dur time.Duration) result {
+// serialReads disables the server's per-key fan-out (the PR-2 baseline).
+func runTCPMultiGet(name string, serialReads bool, conc int, dur time.Duration) result {
 	handler := &lateHandler{}
 	tcpSrv, err := transport.NewTCPServer("127.0.0.1:0", handler)
 	if err != nil {
@@ -428,7 +410,7 @@ func runTCPMultiGet(name string, serialReads, forceGob bool, conc int, dur time.
 		fatal(err)
 	}
 	handler.set(srv)
-	cliNet := transport.NewTCPClientOpts(transport.TCPClientOptions{ForceGob: forceGob})
+	cliNet := transport.NewTCPClient()
 	defer func() {
 		srv.Close()
 		tcpSrv.Close()
@@ -481,9 +463,6 @@ func runTCPMultiGet(name string, serialReads, forceGob bool, conc int, dur time.
 	notes := fmt.Sprintf("%d keys per call, parallel key fan-out, DRAM over loopback TCP", perCall)
 	if serialReads {
 		notes = fmt.Sprintf("%d keys per call, serial per-key reads (baseline), DRAM over loopback TCP", perCall)
-	}
-	if forceGob {
-		notes += ", gob fallback frames forced (codec baseline)"
 	}
 	return result{
 		Name:        name,

@@ -40,7 +40,6 @@ func main() {
 		interval = flag.Duration("interval", time.Second, "with top: refresh period")
 		rounds   = flag.Int("rounds", 0, "with top: number of refreshes (0 = until interrupted)")
 		samples  = flag.Int("samples", 60, "with history: samples pulled per series (0 = the full retained window)")
-		gobWire  = flag.Bool("gob", false, "force the gob wire codec (talks to pre-codec servers; normally the binary codec is negotiated per frame)")
 		callTO   = flag.Duration("call-timeout", transport.DefaultCallTimeout, "default per-RPC deadline when a command's context has none; negative disables")
 	)
 	flag.Parse()
@@ -59,7 +58,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	net := transport.NewTCPClientOpts(transport.TCPClientOptions{ForceGob: *gobWire, CallTimeout: *callTO})
+	net := transport.NewTCPClientOpts(transport.TCPClientOptions{CallTimeout: *callTO})
 	defer net.Close()
 	clk := clock.NewPerfect(clock.NewSystemSource(), uint32(*id))
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)

@@ -45,7 +45,6 @@ func main() {
 		peers   = flag.String("peers", "", "comma-separated replica addresses of this shard, primary first")
 		shards  = flag.String("shards", "", "full shard map: ';'-separated shards, each a ','-separated address list")
 		backend = flag.String("backend", core.BackendDRAM, "storage backend: dram|mftl|vftl|sftl")
-		gobWire = flag.Bool("gob", false, "force the gob wire codec on all connections (escape hatch for mixed-version clusters; normally the binary codec is negotiated per frame)")
 		metrics = flag.String("metrics", "", "address for the HTTP debug endpoint (/metrics, /metrics.json, /debug/timehealth, /debug/audit, /debug/pprof/); empty disables")
 		slowlog = flag.Duration("slowlog", 0, "log one structured line for any RPC slower than this (0 disables)")
 		skewWin = flag.Duration("skew-window", 0, "validation-abort margins within this window count as skew-induced in abort provenance (0 = all conflict)")
@@ -115,7 +114,7 @@ func main() {
 		Shard:                cluster.ShardID(*shard),
 		Primary:              *replica == 0,
 		Backend:              be,
-		Net:                  transport.NewTCPClientOpts(transport.TCPClientOptions{ForceGob: *gobWire, Metrics: reg, CallTimeout: *callTimeout}),
+		Net:                  transport.NewTCPClientOpts(transport.TCPClientOptions{Metrics: reg, CallTimeout: *callTimeout}),
 		Dir:                  dir,
 		Clock:                clock.NewPerfect(clock.NewSystemSource(), uint32(1<<20+*shard*100+*replica)),
 		SlowRequestThreshold: *slowlog,
@@ -192,7 +191,7 @@ func main() {
 		tsdb.Start()
 		defer tsdb.Close()
 	}
-	tcp, err := transport.NewTCPServerOpts(*listen, srv, transport.TCPServerOptions{ForceGob: *gobWire, Metrics: reg})
+	tcp, err := transport.NewTCPServerOpts(*listen, srv, transport.TCPServerOptions{Metrics: reg})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -229,12 +228,8 @@ func main() {
 		}()
 		fmt.Printf("semeld: metrics on http://%s/metrics (also /debug/timehealth, /debug/audit, /debug/tsdb, /debug/pprof/)\n", *metrics)
 	}
-	wireMode := "binary codec v1 (gob fallback)"
-	if *gobWire {
-		wireMode = "gob (forced)"
-	}
-	fmt.Printf("semeld: shard %d replica %d (%s) serving on %s, backend %s, wire %s\n",
-		*shard, *replica, map[bool]string{true: "primary", false: "backup"}[*replica == 0], tcp.Addr(), *backend, wireMode)
+	fmt.Printf("semeld: shard %d replica %d (%s) serving on %s, backend %s\n",
+		*shard, *replica, map[bool]string{true: "primary", false: "backup"}[*replica == 0], tcp.Addr(), *backend)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

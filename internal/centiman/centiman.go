@@ -43,11 +43,6 @@ type ValidateResponse struct {
 	OK bool
 }
 
-func init() {
-	transport.RegisterType(ValidateRequest{})
-	transport.RegisterType(ValidateResponse{})
-}
-
 // Validator validates transactions for one shard. It keeps the commit
 // timestamp of the last validated write per key.
 type Validator struct {

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/transport"
+	"repro/internal/wire"
 )
 
 // echoServer registers a counting echo handler on the bus and returns the
@@ -275,23 +276,25 @@ func TestInjectorOverTCP(t *testing.T) {
 	defer srv.Close()
 	tc := transport.NewTCPClient()
 	defer tc.Close()
-	transport.RegisterType("")
 
+	// Real TCP carries only what the wire codec can encode, so this test —
+	// unlike the bus ones above — sends a wire message.
+	ping := wire.LeaseRequest{Primary: "ping"}
 	in := New(Options{Seed: 1})
 	cl := in.Wrap("a", tc)
-	resp, err := cl.Call(context.Background(), srv.Addr(), "ping")
-	if err != nil || resp != "ping" {
+	resp, err := cl.Call(context.Background(), srv.Addr(), ping)
+	if err != nil || resp != ping {
 		t.Fatalf("Call over TCP = %v, %v", resp, err)
 	}
 	in.Partition("a", srv.Addr())
-	if _, err := cl.Call(context.Background(), srv.Addr(), "x"); !errors.Is(err, ErrUnreachable) {
+	if _, err := cl.Call(context.Background(), srv.Addr(), ping); !errors.Is(err, ErrUnreachable) {
 		t.Fatalf("partition over TCP: %v", err)
 	}
 	if served.Load() != 1 {
 		t.Fatalf("served = %d", served.Load())
 	}
 	in.Heal()
-	if _, err := cl.Call(context.Background(), srv.Addr(), "y"); err != nil {
+	if _, err := cl.Call(context.Background(), srv.Addr(), ping); err != nil {
 		t.Fatalf("after heal: %v", err)
 	}
 }

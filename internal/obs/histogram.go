@@ -116,7 +116,7 @@ type Bucket struct {
 }
 
 // HistogramSnapshot is a sparse, mergeable copy of a histogram. All fields
-// are exported so it crosses the gob wire inside wire.StatsResponse.
+// are exported so the wire codec can carry it inside wire.StatsResponse.
 type HistogramSnapshot struct {
 	Count   uint64
 	Sum     int64

@@ -8,8 +8,8 @@
 //   - Lock-cheap on the hot path: Observe/Add/Set are one or two atomic
 //     operations; registry lookups happen once at wire-up time, never per
 //     operation.
-//   - Mergeable: every metric snapshots to plain exported structs that gob
-//     travels unchanged (wire.StatsResponse carries them), and snapshots
+//   - Mergeable: every metric snapshots to plain exported structs that the
+//     wire codec carries unchanged (inside wire.StatsResponse), and snapshots
 //     from many replicas merge into one distribution — the paper's claims
 //     are all distributional (commit-latency percentiles, abort rates vs.
 //     clock skew), so per-replica averages are not enough.
@@ -160,8 +160,8 @@ func (r *Registry) Histogram(name string) *Histogram {
 }
 
 // Snapshot is a point-in-time copy of a registry's metrics, in plain
-// exported types so it travels over gob (wire.StatsResponse) and merges
-// across replicas.
+// exported types so it travels inside wire.StatsResponse and merges across
+// replicas.
 type Snapshot struct {
 	Counters map[string]int64
 	Gauges   map[string]int64

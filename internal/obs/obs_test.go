@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"encoding/gob"
 	"math/rand"
 	"sort"
 	"strings"
@@ -264,28 +263,6 @@ func TestRegistryConcurrent(t *testing.T) {
 	s := r.Snapshot()
 	if s.Counters["c"] != 16000 || s.Gauges["g"] != 16000 || s.Hists["h"].Count != 16000 {
 		t.Fatalf("concurrent totals wrong: %+v", s.Counters)
-	}
-}
-
-func TestSnapshotGobRoundTrip(t *testing.T) {
-	r := NewRegistry()
-	r.Counter(`aborts_total{reason="read-stale"}`).Add(4)
-	r.Histogram("lat_ns").Observe(12345)
-	in := r.Snapshot()
-
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(in); err != nil {
-		t.Fatal(err)
-	}
-	var out Snapshot
-	if err := gob.NewDecoder(&buf).Decode(&out); err != nil {
-		t.Fatal(err)
-	}
-	if out.Counters[`aborts_total{reason="read-stale"}`] != 4 {
-		t.Fatal("counter lost in gob round trip")
-	}
-	if out.Hists["lat_ns"].Count != 1 || out.Hists["lat_ns"].Quantile(0.5) == 0 {
-		t.Fatal("histogram lost in gob round trip")
 	}
 }
 

@@ -203,8 +203,8 @@ func (t *TSDB) push(name string, v int64) {
 
 // SeriesDump is one series' recent window in delta encoding: the samples
 // are First, First+Deltas[0], First+Deltas[0]+Deltas[1], … — counters and
-// slow-moving gauges compress to near-zero deltas, and the flat struct
-// crosses both gob and the v1 codec.
+// slow-moving gauges compress to near-zero deltas, and the flat struct is
+// cheap for the wire codec to carry.
 type SeriesDump struct {
 	Name   string
 	Seq    int64 // tick number of the newest sample

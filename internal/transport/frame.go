@@ -3,7 +3,6 @@ package transport
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -18,49 +17,38 @@ import (
 //
 //	frame    := length(4, big-endian) body
 //	body     := tag(1) rest
-//	tag      := 0x00 gob fallback | 0x01 binary codec v1
+//	tag      := 0x01 (binary codec v1; any other value is a protocol error)
 //
-//	v1 request  := id(uvarint) traceID(uvarint) spanID(uvarint) flags(1)
-//	               [deadlineNs(uvarint)] msg
-//	               flags bit0 = trace sampled
-//	               flags bit1 = caller wants the stage-latency block back
-//	               flags bit2 = an absolute deadline (unix nanoseconds)
-//	                 precedes msg; the server drops the request with
-//	                 ErrDeadlineExceeded if it dequeues it after that
-//	                 instant, and bounds the handler context by it
-//	v1 response := id(uvarint) flags(1) [stages] rest
-//	               flags&0x03 == 0x00: rest = msg
-//	               flags&0x03 == 0x01: rest = error string (uvarint length + bytes)
-//	               flags&0x03 == 0x02: nil payload, rest empty
-//	               flags bit2 = a stage-latency block precedes rest:
-//	                 serveNs(uvarint) count(uvarint) (stageID(1) ns(uvarint))*
+//	request  := id(uvarint) traceID(uvarint) spanID(uvarint) flags(1)
+//	            [deadlineNs(uvarint)] msg
+//	            flags bit0 = trace sampled
+//	            flags bit1 = caller wants the stage-latency block back
+//	            flags bit2 = an absolute deadline (unix nanoseconds)
+//	              precedes msg; the server drops the request with
+//	              ErrDeadlineExceeded if it dequeues it after that
+//	              instant, and bounds the handler context by it
+//	response := id(uvarint) flags(1) [stages] rest
+//	            flags&0x03 == 0x00: rest = msg
+//	            flags&0x03 == 0x01: rest = error string (uvarint length + bytes)
+//	            flags&0x03 == 0x02: nil payload, rest empty
+//	            flags bit2 = a stage-latency block precedes rest:
+//	              serveNs(uvarint) count(uvarint) (stageID(1) ns(uvarint))*
 //
 // The stage block is only emitted when the request asked for it (flags
-// bit1), so pre-stage peers never see response bit2 and decode exactly the
-// old layout; a pre-stage server simply never answers the bit. The request
-// deadline block is likewise flag-gated: a client that sets no deadline
-// emits the old layout byte for byte, and the gob fallback carries the
-// deadline as an ordinary new struct field (absent decodes as zero).
-//	gob request  := gob-stream bytes for one wireRequest
-//	gob response := gob-stream bytes for one wireResponse
-//
-// Gob frames are stateful: the tag-0 frame bodies flowing one direction over
-// one connection form a single gob stream (one persistent encoder/decoder
-// pair per direction), so type descriptors are transmitted once per
-// connection, not once per frame. Each Encode call's output is exactly one
-// frame, and frames are decoded in arrival order, which the single-writer /
-// single-reader loops guarantee. v1 frames carry no stream state and may
-// interleave freely.
+// bit1), and the deadline block only when the caller has a deadline, so a
+// frame that uses neither carries neither.
 //
 // `msg` is opaque to the transport: it is produced and consumed by the
-// Codec registered with SetCodec (internal/wire's codec v1, which prefixes
-// a message-type id). The per-frame tag is what lets gob-only peers and
-// codec-v1 peers share a connection: each side decodes whatever tag
-// arrives and a server answers in the codec the request used, so a
-// mixed-version cluster degrades to gob instead of failing.
+// Codec installed with SetCodec (internal/wire's codec v1, which prefixes a
+// message-type id). This file and that codec are the only two places that
+// decide what bytes go on a connection. Frames carry no per-connection
+// state, so they are encoded on the calling goroutine and the write loops
+// only coalesce and flush. A payload the codec cannot encode fails that one
+// call (ErrUnsupportedType from Call; an error response from a handler) and
+// leaves the connection up; an inbound frame whose tag is not 0x01 closes
+// the connection.
 const (
-	frameTagGob = 0x00
-	frameTagV1  = 0x01
+	frameTagV1 = 0x01
 
 	// maxFrame bounds a frame body; anything larger is a protocol error
 	// (or an attack) and kills the connection.
@@ -72,34 +60,26 @@ const (
 
 // Codec is a pluggable binary codec for whole request/response payloads.
 // Append must encode msg (a registered wire message) onto buf and return
-// the extended slice, or ErrUnsupportedType when it has no explicit codec
-// for msg's type — the transport then falls back to gob for that frame.
-// Decode is the inverse and must consume exactly the bytes Append wrote.
+// the extended slice, or an error wrapping ErrUnsupportedType when it has
+// no encoding for msg's type. Decode is the inverse and must consume
+// exactly the bytes Append wrote.
 type Codec interface {
 	Append(buf []byte, msg any) ([]byte, error)
 	Decode(data []byte) (any, error)
 }
 
-// ErrUnsupportedType is returned by a Codec that has no explicit encoding
-// for a message type; the transport falls back to the gob frame tag.
+// ErrUnsupportedType is returned by a Codec that has no encoding for a
+// message type. TCPClient.Call returns it (wrapped) for such a request; a
+// handler's such response reaches the caller as a RemoteError.
 var ErrUnsupportedType = errors.New("transport: no binary codec for type")
 
 // codec is the process-wide payload codec, installed by internal/wire's
-// init. Nil means every frame uses the gob fallback (the transport's own
-// tests, which use unregistered types, run this way).
+// init (the transport's own tests install a fake from TestMain).
 var codec atomic.Pointer[Codec]
 
-// SetCodec installs the payload codec used for frame tag 0x01. It is meant
-// to be called once, from an init function.
+// SetCodec installs the payload codec. It is meant to be called once, from
+// an init function.
 func SetCodec(c Codec) { codec.Store(&c) }
-
-func activeCodec() Codec {
-	p := codec.Load()
-	if p == nil {
-		return nil
-	}
-	return *p
-}
 
 // ---- pooled frame buffers ----
 
@@ -122,10 +102,10 @@ func putBuf(b *[]byte) {
 // ---- wire metrics ----
 
 // wireMetrics is the transport's observability hook: bytes on the wire by
-// direction and codec, and encode/decode latency histograms.
+// direction, and encode/decode latency histograms.
 type wireMetrics struct {
-	txV1, txGob, rxV1, rxGob *obs.Counter
-	encNs, decNs             *obs.Histogram
+	tx, rx       *obs.Counter
+	encNs, decNs *obs.Histogram
 }
 
 func newWireMetrics(reg *obs.Registry) *wireMetrics {
@@ -133,36 +113,24 @@ func newWireMetrics(reg *obs.Registry) *wireMetrics {
 		return nil
 	}
 	return &wireMetrics{
-		txV1:  reg.Counter(`wire_bytes_total{dir="tx",codec="v1"}`),
-		txGob: reg.Counter(`wire_bytes_total{dir="tx",codec="gob"}`),
-		rxV1:  reg.Counter(`wire_bytes_total{dir="rx",codec="v1"}`),
-		rxGob: reg.Counter(`wire_bytes_total{dir="rx",codec="gob"}`),
+		tx:    reg.Counter(`wire_bytes_total{dir="tx",codec="v1"}`),
+		rx:    reg.Counter(`wire_bytes_total{dir="rx",codec="v1"}`),
 		encNs: reg.Histogram("wire_encode_ns"),
 		decNs: reg.Histogram("wire_decode_ns"),
 	}
 }
 
-// countTx records one outbound frame. The codec tag sits right after the
-// length prefix.
+// countTx records one outbound frame, length prefix included.
 func (m *wireMetrics) countTx(frame []byte) {
-	if m == nil || len(frame) <= frameHeaderLen {
-		return
-	}
-	if frame[frameHeaderLen] == frameTagV1 {
-		m.txV1.Add(int64(len(frame)))
-	} else {
-		m.txGob.Add(int64(len(frame)))
+	if m != nil {
+		m.tx.Add(int64(len(frame)))
 	}
 }
 
+// countRx records one inbound frame body plus its length prefix.
 func (m *wireMetrics) countRx(body []byte) {
-	if m == nil || len(body) == 0 {
-		return
-	}
-	if body[0] == frameTagV1 {
-		m.rxV1.Add(int64(len(body) + frameHeaderLen))
-	} else {
-		m.rxGob.Add(int64(len(body) + frameHeaderLen))
+	if m != nil {
+		m.rx.Add(int64(len(body) + frameHeaderLen))
 	}
 }
 
@@ -187,81 +155,6 @@ func (m *wireMetrics) observeDecode(start time.Time) {
 	}
 }
 
-// ---- gob stream state ----
-
-// gobStreamEnc is one direction's persistent gob encoder. It must only be
-// used from a connection's single writer goroutine: gob streams are
-// stateful, so encode order must equal wire order. An Encode error leaves
-// the stream state unrecoverable (descriptors may have been emitted that the
-// peer will never see), so callers must tear the connection down on error.
-type gobStreamEnc struct {
-	cur *[]byte // frame buffer Encode appends into
-	enc *gob.Encoder
-}
-
-func newGobStreamEnc() *gobStreamEnc {
-	g := &gobStreamEnc{}
-	g.enc = gob.NewEncoder(g)
-	return g
-}
-
-func (g *gobStreamEnc) Write(p []byte) (int, error) {
-	*g.cur = append(*g.cur, p...)
-	return len(p), nil
-}
-
-// encodeFrame gob-encodes v as one tag-0 frame in a pooled buffer.
-func (g *gobStreamEnc) encodeFrame(v any, m *wireMetrics) (*[]byte, error) {
-	start := m.now()
-	bufp := getBuf()
-	*bufp = append((*bufp)[:0], 0, 0, 0, 0, frameTagGob)
-	g.cur = bufp
-	err := g.enc.Encode(v)
-	g.cur = nil
-	if err == nil {
-		var out []byte
-		if out, err = finishFrame(*bufp); err == nil {
-			*bufp = out
-			m.observeEncode(start)
-			return bufp, nil
-		}
-	}
-	putBuf(bufp)
-	return nil, err
-}
-
-// gobStreamDec is one direction's persistent gob decoder, fed tag-0 frame
-// bodies in arrival order by the connection's read loop.
-type gobStreamDec struct {
-	body []byte
-	dec  *gob.Decoder
-}
-
-func newGobStreamDec() *gobStreamDec {
-	g := &gobStreamDec{}
-	g.dec = gob.NewDecoder(g)
-	return g
-}
-
-func (g *gobStreamDec) Read(p []byte) (int, error) {
-	if len(g.body) == 0 {
-		return 0, io.EOF
-	}
-	n := copy(p, g.body)
-	g.body = g.body[n:]
-	return n, nil
-}
-
-// decode feeds one frame body to the stream and decodes one value from it.
-// A decoder that runs dry mid-value (frames out of order or truncated)
-// errors, which kills the connection.
-func (g *gobStreamDec) decode(body []byte, v any) error {
-	g.body = body
-	err := g.dec.Decode(v)
-	g.body = nil
-	return err
-}
-
 // ---- frame encode ----
 
 // finishFrame fills in the 4-byte length prefix reserved at the start of
@@ -275,19 +168,23 @@ func finishFrame(buf []byte) ([]byte, error) {
 	return buf, nil
 }
 
-// encodeRequestV1 encodes one outbound request as a codec-v1 frame in a
-// pooled buffer. It returns ErrUnsupportedType (wrapped) when no codec is
-// installed or the codec cannot encode payload; the caller then routes the
-// request through the connection's gob stream instead.
-func encodeRequestV1(id uint64, tc obs.TraceContext, wantStages bool, deadlineNs int64, payload any, m *wireMetrics) (*[]byte, error) {
-	c := activeCodec()
+// appendPayload encodes payload with the installed codec. With no codec
+// installed nothing is encodable.
+func appendPayload(buf []byte, payload any) ([]byte, error) {
+	c := codec.Load()
 	if c == nil {
 		return nil, ErrUnsupportedType
 	}
+	return (*c).Append(buf, payload)
+}
+
+// encodeRequest encodes one outbound request frame in a pooled buffer. It
+// fails with an error wrapping ErrUnsupportedType when the codec cannot
+// encode payload.
+func encodeRequest(id uint64, tc obs.TraceContext, wantStages bool, deadlineNs int64, payload any, m *wireMetrics) (*[]byte, error) {
 	start := m.now()
 	bufp := getBuf()
-	buf := append((*bufp)[:0], 0, 0, 0, 0)
-	buf = append(buf, frameTagV1)
+	buf := append((*bufp)[:0], 0, 0, 0, 0, frameTagV1)
 	buf = binary.AppendUvarint(buf, id)
 	buf = binary.AppendUvarint(buf, tc.TraceID)
 	buf = binary.AppendUvarint(buf, tc.SpanID)
@@ -305,7 +202,7 @@ func encodeRequestV1(id uint64, tc obs.TraceContext, wantStages bool, deadlineNs
 	if deadlineNs > 0 {
 		buf = binary.AppendUvarint(buf, uint64(deadlineNs))
 	}
-	out, err := c.Append(buf, payload)
+	out, err := appendPayload(buf, payload)
 	if err == nil {
 		out, err = finishFrame(out)
 	}
@@ -318,20 +215,13 @@ func encodeRequestV1(id uint64, tc obs.TraceContext, wantStages bool, deadlineNs
 	return bufp, nil
 }
 
-// encodeResponseV1 encodes one outbound response as a codec-v1 frame. Error
-// and nil-payload responses always encode; a payload the codec cannot
-// handle returns ErrUnsupportedType and the caller falls back to the gob
-// stream. Callers must only use this when the request arrived as v1, so a
-// gob-only client always gets gob back.
-func encodeResponseV1(resp wireResponse, m *wireMetrics) (*[]byte, error) {
-	c := activeCodec()
-	if c == nil {
-		return nil, ErrUnsupportedType
-	}
+// encodeResponse encodes one outbound response frame in a pooled buffer.
+// Error and nil-payload responses always encode; only a payload can fail
+// (no codec for its type, or a body over maxFrame).
+func encodeResponse(resp wireResponse, m *wireMetrics) (*[]byte, error) {
 	start := m.now()
 	bufp := getBuf()
-	buf := append((*bufp)[:0], 0, 0, 0, 0)
-	buf = append(buf, frameTagV1)
+	buf := append((*bufp)[:0], 0, 0, 0, 0, frameTagV1)
 	buf = binary.AppendUvarint(buf, resp.ID)
 	var kind byte
 	switch {
@@ -365,7 +255,7 @@ func encodeResponseV1(resp wireResponse, m *wireMetrics) (*[]byte, error) {
 	case 0x02:
 		out = buf
 	default:
-		out, err = c.Append(buf, resp.Payload)
+		out, err = appendPayload(buf, resp.Payload)
 	}
 	if err == nil {
 		out, err = finishFrame(out)
@@ -406,139 +296,127 @@ func readFrame(br *bufio.Reader) (*[]byte, error) {
 
 var errShortFrame = errors.New("transport: truncated frame")
 
-// decodeRequest parses one inbound request frame body. Byte slices inside
-// the returned payload are copies; body may be recycled immediately. gd is
-// the connection's inbound gob stream (tag-0 frames advance it).
-func decodeRequest(body []byte, gd *gobStreamDec, m *wireMetrics) (req wireRequest, tag byte, err error) {
-	start := m.now()
-	m.countRx(body)
+// openBody checks an inbound frame body's tag, counts the frame, and
+// returns what follows the tag.
+func openBody(body []byte, m *wireMetrics) ([]byte, error) {
 	if len(body) == 0 {
-		return req, 0, errShortFrame
+		return nil, errShortFrame
 	}
-	tag = body[0]
-	rest := body[1:]
-	switch tag {
-	case frameTagV1:
-		c := activeCodec()
-		if c == nil {
-			return req, tag, errors.New("transport: v1 frame received but no codec installed")
-		}
-		var n, n2, n3 int
-		req.ID, n = binary.Uvarint(rest)
-		if n <= 0 {
-			return req, tag, errShortFrame
-		}
-		req.TC.TraceID, n2 = binary.Uvarint(rest[n:])
-		if n2 <= 0 {
-			return req, tag, errShortFrame
-		}
-		req.TC.SpanID, n3 = binary.Uvarint(rest[n+n2:])
-		if n3 <= 0 || len(rest) < n+n2+n3+1 {
-			return req, tag, errShortFrame
-		}
-		flags := rest[n+n2+n3]
-		req.TC.Sampled = flags&1 != 0
-		req.WantStages = flags&2 != 0
-		rest = rest[n+n2+n3+1:]
-		if flags&4 != 0 {
-			dl, k := binary.Uvarint(rest)
-			if k <= 0 {
-				return req, tag, errShortFrame
-			}
-			req.DeadlineNs = int64(dl)
-			rest = rest[k:]
-		}
-		req.Payload, err = c.Decode(rest)
-		if err != nil {
-			return req, tag, err
-		}
-	case frameTagGob:
-		if err := gd.decode(rest, &req); err != nil {
-			return req, tag, err
-		}
-	default:
-		return req, tag, fmt.Errorf("transport: unknown frame tag %#x", tag)
+	if body[0] != frameTagV1 {
+		return nil, fmt.Errorf("transport: unknown frame tag %#x", body[0])
 	}
-	m.observeDecode(start)
-	return req, tag, nil
+	m.countRx(body)
+	return body[1:], nil
 }
 
-// decodeResponse parses one inbound response frame body. gd is the
-// connection's inbound gob stream.
-func decodeResponse(body []byte, gd *gobStreamDec, m *wireMetrics) (resp wireResponse, err error) {
+// decodePayload is appendPayload's inverse.
+func decodePayload(data []byte) (any, error) {
+	c := codec.Load()
+	if c == nil {
+		return nil, errors.New("transport: frame received but no codec installed")
+	}
+	return (*c).Decode(data)
+}
+
+// decodeRequest parses one inbound request frame body. Byte slices inside
+// the returned payload are copies; body may be recycled immediately.
+func decodeRequest(body []byte, m *wireMetrics) (req wireRequest, err error) {
 	start := m.now()
-	m.countRx(body)
-	if len(body) == 0 {
+	rest, err := openBody(body, m)
+	if err != nil {
+		return req, err
+	}
+	var n, n2, n3 int
+	req.ID, n = binary.Uvarint(rest)
+	if n <= 0 {
+		return req, errShortFrame
+	}
+	req.TC.TraceID, n2 = binary.Uvarint(rest[n:])
+	if n2 <= 0 {
+		return req, errShortFrame
+	}
+	req.TC.SpanID, n3 = binary.Uvarint(rest[n+n2:])
+	if n3 <= 0 || len(rest) < n+n2+n3+1 {
+		return req, errShortFrame
+	}
+	flags := rest[n+n2+n3]
+	req.TC.Sampled = flags&1 != 0
+	req.WantStages = flags&2 != 0
+	rest = rest[n+n2+n3+1:]
+	if flags&4 != 0 {
+		dl, k := binary.Uvarint(rest)
+		if k <= 0 {
+			return req, errShortFrame
+		}
+		req.DeadlineNs = int64(dl)
+		rest = rest[k:]
+	}
+	if req.Payload, err = decodePayload(rest); err != nil {
+		return req, err
+	}
+	m.observeDecode(start)
+	return req, nil
+}
+
+// decodeResponse parses one inbound response frame body.
+func decodeResponse(body []byte, m *wireMetrics) (resp wireResponse, err error) {
+	start := m.now()
+	rest, err := openBody(body, m)
+	if err != nil {
+		return resp, err
+	}
+	var n int
+	resp.ID, n = binary.Uvarint(rest)
+	if n <= 0 || len(rest) < n+1 {
 		return resp, errShortFrame
 	}
-	tag := body[0]
-	rest := body[1:]
-	switch tag {
-	case frameTagV1:
-		c := activeCodec()
-		if c == nil {
-			return resp, errors.New("transport: v1 frame received but no codec installed")
-		}
-		var n int
-		resp.ID, n = binary.Uvarint(rest)
-		if n <= 0 || len(rest) < n+1 {
+	flags := rest[n]
+	rest = rest[n+1:]
+	if flags&0x04 != 0 {
+		sv, k := binary.Uvarint(rest)
+		if k <= 0 {
 			return resp, errShortFrame
 		}
-		flags := rest[n]
-		rest = rest[n+1:]
-		if flags&0x04 != 0 {
-			sv, k := binary.Uvarint(rest)
-			if k <= 0 {
-				return resp, errShortFrame
-			}
-			resp.ServeNs = int64(sv)
-			cnt, k2 := binary.Uvarint(rest[k:])
-			rest = rest[k+k2:]
-			if k2 <= 0 || cnt > 64 {
-				return resp, errShortFrame
-			}
-			if cnt > 0 {
-				resp.StageIDs = make([]byte, 0, cnt)
-				resp.StageNs = make([]int64, 0, cnt)
-			}
-			for i := uint64(0); i < cnt; i++ {
-				if len(rest) < 2 {
-					return resp, errShortFrame
-				}
-				id := rest[0]
-				v, k3 := binary.Uvarint(rest[1:])
-				if k3 <= 0 {
-					return resp, errShortFrame
-				}
-				rest = rest[1+k3:]
-				resp.StageIDs = append(resp.StageIDs, id)
-				resp.StageNs = append(resp.StageNs, int64(v))
-			}
-			flags &^= 0x04
+		resp.ServeNs = int64(sv)
+		cnt, k2 := binary.Uvarint(rest[k:])
+		rest = rest[k+k2:]
+		if k2 <= 0 || cnt > 64 {
+			return resp, errShortFrame
 		}
-		switch flags {
-		case 0x00:
-			resp.Payload, err = c.Decode(rest)
-			if err != nil {
-				return resp, err
-			}
-		case 0x01:
-			sl, n := binary.Uvarint(rest)
-			if n <= 0 || uint64(len(rest)-n) < sl {
+		if cnt > 0 {
+			resp.StageIDs = make([]byte, 0, cnt)
+			resp.StageNs = make([]int64, 0, cnt)
+		}
+		for i := uint64(0); i < cnt; i++ {
+			if len(rest) < 2 {
 				return resp, errShortFrame
 			}
-			resp.Err = string(rest[n : n+int(sl)])
-		case 0x02:
-			// nil payload
-		default:
-			return resp, fmt.Errorf("transport: unknown response flags %#x", flags)
+			id := rest[0]
+			v, k3 := binary.Uvarint(rest[1:])
+			if k3 <= 0 {
+				return resp, errShortFrame
+			}
+			rest = rest[1+k3:]
+			resp.StageIDs = append(resp.StageIDs, id)
+			resp.StageNs = append(resp.StageNs, int64(v))
 		}
-	case frameTagGob:
-		if err := gd.decode(rest, &resp); err != nil {
+		flags &^= 0x04
+	}
+	switch flags {
+	case 0x00:
+		if resp.Payload, err = decodePayload(rest); err != nil {
 			return resp, err
 		}
+	case 0x01:
+		sl, n := binary.Uvarint(rest)
+		if n <= 0 || uint64(len(rest)-n) < sl {
+			return resp, errShortFrame
+		}
+		resp.Err = string(rest[n : n+int(sl)])
+	case 0x02:
+		// nil payload
 	default:
-		return resp, fmt.Errorf("transport: unknown frame tag %#x", tag)
+		return resp, fmt.Errorf("transport: unknown response flags %#x", flags)
 	}
 	m.observeDecode(start)
 	if !start.IsZero() {

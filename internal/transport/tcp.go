@@ -3,8 +3,6 @@ package transport
 import (
 	"bufio"
 	"context"
-	"encoding/gob"
-	"errors"
 	"fmt"
 	"net"
 	"runtime"
@@ -15,12 +13,6 @@ import (
 	"repro/internal/obs"
 )
 
-// RegisterType registers a concrete request/response type with the gob
-// fallback codec. Both ends of a TCP transport must register the same
-// types. Types with an explicit binary codec (internal/wire) never hit gob
-// on the hot path, but stay registered so mixed-codec peers interoperate.
-func RegisterType(v any) { gob.Register(v) }
-
 type wireRequest struct {
 	ID uint64
 	// TC carries the caller's trace context across the connection; the
@@ -28,14 +20,13 @@ type wireRequest struct {
 	// identically over TCP and the in-process bus.
 	TC obs.TraceContext
 	// WantStages asks the server to return its stage-latency ledger for
-	// this request (set when the caller's ctx carries an obs.Ledger). Gob
-	// peers without the field decode it as absent/false.
+	// this request (set when the caller's ctx carries an obs.Ledger).
 	WantStages bool
 	// DeadlineNs is the caller's absolute deadline in unix nanoseconds
 	// (0 = none). The server drops the request with ErrDeadlineExceeded if
 	// it dequeues it after this instant and bounds the handler context by
 	// it, so abandoned work dies at dispatch instead of burning the
-	// storage engine. Gob peers without the field decode it as absent.
+	// storage engine.
 	DeadlineNs int64
 	Payload    any
 }
@@ -57,9 +48,13 @@ type wireResponse struct {
 	decodeNs int64
 }
 
-// DefaultMaxInflight is the default bound on concurrently executing
-// requests per TCPServer.
-const DefaultMaxInflight = 1024
+// MaxInflight bounds concurrently executing requests across all of a
+// TCPServer's connections: beyond it, a connection's decode loop stops
+// pulling requests until a handler finishes, so a flood of pipelined
+// requests exerts backpressure instead of spawning an unbounded goroutine
+// per request. The operator-facing overload control is
+// resilience.Admission (semeld -admission-max-inflight), not this.
+const MaxInflight = 1024
 
 // DefaultCallTimeout bounds a TCPClient.Call whose context carries no
 // deadline of its own. Before this default existed, such a call could hang
@@ -76,16 +71,6 @@ const sendQueueLen = 256
 
 // TCPServerOptions tunes a TCPServer.
 type TCPServerOptions struct {
-	// MaxInflight bounds concurrently executing requests across all
-	// connections: beyond it, a connection's decode loop stops pulling
-	// requests until a handler finishes, so a flood of pipelined requests
-	// exerts backpressure instead of spawning an unbounded goroutine per
-	// request. 0 means DefaultMaxInflight; negative means unlimited.
-	MaxInflight int
-	// ForceGob makes every response use the gob fallback frame even when
-	// the binary codec could encode it (interop testing, emergency escape
-	// hatch).
-	ForceGob bool
 	// Metrics, when non-nil, receives wire_bytes_total{dir,codec} counters
 	// and wire_encode_ns/wire_decode_ns histograms.
 	Metrics *obs.Registry
@@ -93,10 +78,9 @@ type TCPServerOptions struct {
 
 // TCPServer serves a Handler over a TCP listener.
 type TCPServer struct {
-	h   Handler
-	ln  net.Listener
-	opt TCPServerOptions
-	m   *wireMetrics
+	h  Handler
+	ln net.Listener
+	m  *wireMetrics
 	// stages folds every want-stages request's ledger into
 	// server_stage_ledger_ns{stage=...} (nil without Metrics).
 	stages *obs.StageSet
@@ -105,10 +89,9 @@ type TCPServer struct {
 	expired *obs.Counter
 
 	// Request execution runs on a lazily grown pool of reusable worker
-	// goroutines (jobs == nil means unlimited: one goroutine per request).
-	// Reuse keeps handler stacks warm — a fresh goroutine per request pays
-	// newstack/copystack on every deep handler call chain — and the pool size
-	// doubles as the MaxInflight bound: when every worker is busy, dispatch
+	// goroutines. Reuse keeps handler stacks warm — a fresh goroutine per
+	// request pays newstack/copystack on every deep handler call chain — and
+	// the pool cap is the MaxInflight bound: when every worker is busy, dispatch
 	// blocks, the decode loops stop reading, and TCP flow control pushes the
 	// backlog to the clients.
 	jobs       chan srvJob
@@ -127,8 +110,7 @@ type TCPServer struct {
 // connection-scoped plumbing its response rides back on.
 type srvJob struct {
 	req    wireRequest
-	tag    byte
-	writeq chan<- respItem
+	writeq chan<- *[]byte  // encoded response frames, to the write loop
 	wg     *sync.WaitGroup // the owning connection's in-flight count
 	// decodedAt is stamped by the read loop at decode time: handler-start
 	// minus decodedAt is the dispatch-queue wait, fed to the stage ledger
@@ -144,24 +126,26 @@ func NewTCPServer(addr string, h Handler) (*TCPServer, error) {
 
 // NewTCPServerOpts starts serving h on addr with explicit options.
 func NewTCPServerOpts(addr string, h Handler, opt TCPServerOptions) (*TCPServer, error) {
+	return newTCPServer(addr, h, opt, MaxInflight)
+}
+
+// newTCPServer is NewTCPServerOpts with the worker-pool cap exposed, for
+// the in-package tests that need a pool small enough to saturate.
+func newTCPServer(addr string, h Handler, opt TCPServerOptions, maxInflight int32) (*TCPServer, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	s := &TCPServer{h: h, ln: ln, opt: opt, m: newWireMetrics(opt.Metrics), conns: make(map[net.Conn]struct{})}
+	s := &TCPServer{
+		h: h, ln: ln, m: newWireMetrics(opt.Metrics), conns: make(map[net.Conn]struct{}),
+		// Unbuffered: a dispatch is a direct handoff to an idle worker, and
+		// inflight == live workers, so the bound is exact.
+		jobs:      make(chan srvJob),
+		workerCap: maxInflight,
+	}
 	s.stages = obs.NewStageSet(opt.Metrics, "server_stage_ledger")
 	if opt.Metrics != nil {
 		s.expired = opt.Metrics.Counter("transport_deadline_expired_total")
-	}
-	inflight := opt.MaxInflight
-	if inflight == 0 {
-		inflight = DefaultMaxInflight
-	}
-	if inflight > 0 {
-		// Unbuffered: a dispatch is a direct handoff to an idle worker, and
-		// inflight == live workers, so the bound is exact.
-		s.jobs = make(chan srvJob)
-		s.workerCap = int32(inflight)
 	}
 	s.wg.Add(1)
 	go s.acceptLoop()
@@ -169,12 +153,8 @@ func NewTCPServerOpts(addr string, h Handler, opt TCPServerOptions) (*TCPServer,
 }
 
 // dispatch hands one request to the worker pool, growing it (up to
-// workerCap) when no worker is idle. With an unlimited server it just spawns.
+// workerCap) when no worker is idle.
 func (s *TCPServer) dispatch(j srvJob) {
-	if s.jobs == nil {
-		go s.handle(j)
-		return
-	}
 	if s.workerIdle.Load() == 0 {
 		for {
 			n := s.workerN.Load()
@@ -204,10 +184,8 @@ func (s *TCPServer) worker() {
 	}
 }
 
-// handle executes one request and queues its response. Replies use the codec
-// the request arrived with: v1 requests get a v1 frame encoded here, off the
-// writer thread; anything the codec cannot express — and every gob request —
-// rides the gob stream, encoded by the connection's write loop.
+// handle executes one request and queues its response, encoded here on the
+// worker, off the writer thread.
 func (s *TCPServer) handle(j srvJob) {
 	defer j.wg.Done()
 	resp := wireResponse{ID: j.req.ID}
@@ -263,26 +241,17 @@ func (s *TCPServer) handle(j srvJob) {
 	s.respond(j, resp)
 }
 
-// respond encodes one response in the request's codec and queues it on the
-// connection's write loop.
+// respond encodes one response and queues the frame on the connection's
+// write loop. A payload that fails to encode (the codec has no encoding for
+// its type, or the body is over maxFrame) is answered with an error response
+// instead, so the caller is not stranded and the connection stays up.
 func (s *TCPServer) respond(j srvJob, resp wireResponse) {
-	if j.tag == frameTagV1 && !s.opt.ForceGob {
-		bufp, err := encodeResponseV1(resp, s.m)
-		if err == nil {
-			j.writeq <- respItem{bufp: bufp}
-			return
-		}
-		if !errors.Is(err, ErrUnsupportedType) {
-			// Codec bug on this payload: surface it as a remote error rather
-			// than stranding the caller. Error responses always encode in v1.
-			resp = wireResponse{ID: j.req.ID, Err: "transport: response encode: " + err.Error()}
-			if bufp, err = encodeResponseV1(resp, s.m); err == nil {
-				j.writeq <- respItem{bufp: bufp}
-				return
-			}
-		}
+	bufp, err := encodeResponse(resp, s.m)
+	if err != nil {
+		// Cannot fail: only a payload can, and this response has none.
+		bufp, _ = encodeResponse(wireResponse{ID: resp.ID, Err: "transport: response encode: " + err.Error()}, s.m)
 	}
-	j.writeq <- respItem{resp: resp, gob: true}
+	j.writeq <- bufp
 }
 
 // Addr returns the listener's address.
@@ -305,7 +274,7 @@ func (s *TCPServer) Close() error {
 	// Order matters: only the accept loop and the per-connection serve loops
 	// send on s.jobs, so the pool can be shut down once they have all exited.
 	s.wg.Wait()
-	if s.jobs != nil && !wasClosed {
+	if !wasClosed {
 		close(s.jobs)
 		s.workerWG.Wait()
 	}
@@ -341,12 +310,10 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 		conn.Close()
 	}()
 
-	// Single writer per connection: handlers encode v1 frames off-thread and
-	// enqueue them; gob responses are enqueued raw and encoded inside the
-	// write loop, because the gob stream is stateful and the single writer is
-	// the natural serialization point. The loop coalesces whatever has piled
-	// up into one buffered write + flush. Nobody holds a lock across I/O.
-	writeq := make(chan respItem, sendQueueLen)
+	// Single writer per connection: workers encode response frames and
+	// enqueue them; the write loop coalesces whatever has piled up into one
+	// buffered write + flush. Nobody holds a lock across I/O.
+	writeq := make(chan *[]byte, sendQueueLen)
 	wdone := make(chan struct{})
 	go func() {
 		defer close(wdone)
@@ -355,13 +322,12 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 
 	var inflight sync.WaitGroup
 	br := bufio.NewReaderSize(conn, connBufSize)
-	gd := newGobStreamDec()
 	for {
 		bodyp, err := readFrame(br)
 		if err != nil {
 			break
 		}
-		req, tag, err := decodeRequest(*bodyp, gd, s.m)
+		req, err := decodeRequest(*bodyp, s.m)
 		putBuf(bodyp)
 		if err != nil {
 			break
@@ -369,7 +335,7 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 		// decodedAt feeds both the stage ledger's dispatch stage and the
 		// admission controller's queueing-delay signal, so it is stamped for
 		// every request, not just want-stages ones.
-		j := srvJob{req: req, tag: tag, writeq: writeq, wg: &inflight, decodedAt: time.Now()}
+		j := srvJob{req: req, writeq: writeq, wg: &inflight, decodedAt: time.Now()}
 		inflight.Add(1)
 		s.dispatch(j)
 	}
@@ -380,36 +346,14 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 	<-wdone
 }
 
-// respItem is one queued server response: either a pre-encoded v1 frame
-// (bufp) or a raw response to encode on the connection's gob stream (gob).
-type respItem struct {
-	bufp *[]byte
-	resp wireResponse
-	gob  bool
-}
-
-// connWriteLoop writes queued responses, coalescing bursts into one flush,
-// and owns the connection's outbound gob stream. On any error it closes the
-// connection (which unblocks the read loop) but keeps draining the queue so
-// handlers never block on a dead connection. A gob encode error is
-// connection-fatal: the stream state is unrecoverable.
-func (s *TCPServer) connWriteLoop(conn net.Conn, writeq <-chan respItem) {
+// connWriteLoop writes queued response frames, coalescing bursts into one
+// flush. On any error it closes the connection (which unblocks the read
+// loop) but keeps draining the queue so handlers never block on a dead
+// connection.
+func (s *TCPServer) connWriteLoop(conn net.Conn, writeq <-chan *[]byte) {
 	bw := bufio.NewWriterSize(conn, connBufSize)
-	ge := newGobStreamEnc()
 	broken := false
-	write := func(it respItem) {
-		bufp := it.bufp
-		if it.gob {
-			if broken {
-				return
-			}
-			var err error
-			if bufp, err = ge.encodeFrame(&it.resp, s.m); err != nil {
-				broken = true
-				conn.Close()
-				return
-			}
-		}
+	write := func(bufp *[]byte) {
 		if !broken {
 			s.m.countTx(*bufp)
 			if _, err := bw.Write(*bufp); err != nil {
@@ -419,8 +363,8 @@ func (s *TCPServer) connWriteLoop(conn net.Conn, writeq <-chan respItem) {
 		}
 		putBuf(bufp)
 	}
-	for it := range writeq {
-		write(it)
+	for bufp := range writeq {
+		write(bufp)
 		// Coalesce: drain whatever has queued up, and when the queue runs
 		// momentarily dry, yield once so that runnable handlers get to append
 		// their responses to this flush instead of forcing their own syscall.
@@ -456,11 +400,6 @@ func (s *TCPServer) connWriteLoop(conn net.Conn, writeq <-chan respItem) {
 
 // TCPClientOptions tunes a TCPClient.
 type TCPClientOptions struct {
-	// ForceGob makes every request use the gob fallback frame even when
-	// the binary codec could encode it. Servers answer in the codec the
-	// request used, so a ForceGob client speaks pure gob in both
-	// directions.
-	ForceGob bool
 	// CallTimeout bounds calls whose context has no deadline. 0 means
 	// DefaultCallTimeout; negative disables the bound (restoring the old
 	// hang-forever behavior, for tests that need it).
@@ -516,15 +455,10 @@ type pendingShard struct {
 	m  map[uint64]chan wireResponse
 }
 
-// sendItem is one queued outbound request: either a pre-encoded v1 frame
-// (bufp) or a payload to encode on the connection's gob stream, which only
-// the write loop may touch.
+// sendItem is one queued outbound request: the encoded frame plus the
+// caller's send-queue stopwatch.
 type sendItem struct {
-	bufp       *[]byte
-	id         uint64
-	tc         obs.TraceContext
-	deadlineNs int64
-	payload    any
+	bufp *[]byte
 	// Stage-ledger plumbing (nil/zero unless the caller's ctx carries a
 	// ledger): the write loop stores enqueue→pickup into queueNs at
 	// dequeue. A detached cell, not the ledger itself, because a cancelled
@@ -614,19 +548,13 @@ func (c *TCPClient) Call(ctx context.Context, addr string, req any) (any, error)
 	if led != nil {
 		start = time.Now()
 	}
-	// Hot path: encode the v1 frame here, concurrently with other callers.
-	// Payloads the codec cannot express (and everything under ForceGob) are
-	// handed to the write loop raw; it owns the stateful gob stream.
-	item := sendItem{id: id, tc: trace, deadlineNs: deadlineNs, payload: req}
-	if !c.opt.ForceGob {
-		bufp, err := encodeRequestV1(id, trace, led != nil, deadlineNs, req, c.m)
-		switch {
-		case err == nil:
-			item = sendItem{bufp: bufp}
-		case !errors.Is(err, ErrUnsupportedType):
-			return nil, err
-		}
+	// Encode the frame here, concurrently with other callers. A request that
+	// cannot be encoded fails alone, before anything is registered or queued.
+	bufp, err := encodeRequest(id, trace, led != nil, deadlineNs, req, c.m)
+	if err != nil {
+		return nil, fmt.Errorf("transport: encode %T request: %w", req, err)
 	}
+	item := sendItem{bufp: bufp}
 	var encNs int64
 	if led != nil {
 		item.enq = time.Now()
@@ -650,7 +578,7 @@ func (c *TCPClient) Call(ctx context.Context, addr string, req any) (any, error)
 	}
 	ch := make(chan wireResponse, 1)
 	if !tc.register(id, ch) {
-		item.release()
+		putBuf(bufp)
 		return nil, fmt.Errorf("transport: connection to %s lost", addr)
 	}
 	// Fast path first: a nonblocking send skips the multi-case select
@@ -662,11 +590,11 @@ func (c *TCPClient) Call(ctx context.Context, addr string, req any) (any, error)
 		case tc.sendq <- item:
 		case <-tc.closed:
 			tc.take(id)
-			item.release()
+			putBuf(bufp)
 			return nil, fmt.Errorf("transport: connection to %s lost", addr)
 		case <-ctx.Done():
 			tc.take(id)
-			item.release()
+			putBuf(bufp)
 			return nil, ctx.Err()
 		}
 	}
@@ -761,23 +689,12 @@ func (c *TCPClient) dial(addr string) (*tcpConn, error) {
 	return tc, nil
 }
 
-// release returns an item's frame buffer to the pool, for paths where the
-// item never reaches the write loop.
-func (it sendItem) release() {
-	if it.bufp != nil {
-		putBuf(it.bufp)
-	}
-}
-
 // writeLoop is the connection's single writer: it pulls queued requests,
 // coalescing everything already queued into one buffered write, and flushes
 // only when the queue momentarily drains — concurrent callers become
-// batched syscalls. It also owns the outbound gob stream; a gob encode
-// error (unregistered type) fails that call and drops the connection, since
-// the stream state is unrecoverable.
+// batched syscalls.
 func (c *TCPClient) writeLoop(addr string, tc *tcpConn) {
 	bw := bufio.NewWriterSize(tc.conn, connBufSize)
-	ge := newGobStreamEnc()
 	for {
 		var it sendItem
 		select {
@@ -787,21 +704,9 @@ func (c *TCPClient) writeLoop(addr string, tc *tcpConn) {
 		}
 		it.noteDequeue()
 		for {
-			bufp := it.bufp
-			if bufp == nil {
-				var err error
-				bufp, err = ge.encodeFrame(&wireRequest{ID: it.id, TC: it.tc, DeadlineNs: it.deadlineNs, Payload: it.payload}, c.m)
-				if err != nil {
-					if ch, ok := tc.take(it.id); ok {
-						ch <- wireResponse{ID: it.id, Err: "transport: request encode: " + err.Error()}
-					}
-					c.drop(addr, tc)
-					return
-				}
-			}
-			c.m.countTx(*bufp)
-			_, err := bw.Write(*bufp)
-			putBuf(bufp)
+			c.m.countTx(*it.bufp)
+			_, err := bw.Write(*it.bufp)
+			putBuf(it.bufp)
 			if err != nil {
 				c.drop(addr, tc)
 				return
@@ -836,14 +741,13 @@ func (c *TCPClient) writeLoop(addr string, tc *tcpConn) {
 
 func (c *TCPClient) readLoop(addr string, tc *tcpConn) {
 	br := bufio.NewReaderSize(tc.conn, connBufSize)
-	gd := newGobStreamDec()
 	for {
 		bodyp, err := readFrame(br)
 		if err != nil {
 			c.drop(addr, tc)
 			return
 		}
-		resp, err := decodeResponse(*bodyp, gd, c.m)
+		resp, err := decodeResponse(*bodyp, c.m)
 		putBuf(bodyp)
 		if err != nil {
 			c.drop(addr, tc)

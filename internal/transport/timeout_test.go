@@ -133,7 +133,7 @@ func TestServerDropsExpiredWork(t *testing.T) {
 		return req, nil
 	})
 	reg := obs.NewRegistry()
-	srv, err := NewTCPServerOpts("127.0.0.1:0", h, TCPServerOptions{MaxInflight: 1, Metrics: reg})
+	srv, err := newTCPServer("127.0.0.1:0", h, TCPServerOptions{Metrics: reg}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,40 +185,16 @@ func TestServerDropsExpiredWork(t *testing.T) {
 	}
 }
 
-// deadlineTestCodec is a minimal payload codec so the frame test can use
-// the v1 path (the real codec lives in internal/wire, which these tests
-// must not import).
-type deadlineTestCodec struct{}
-
-func (deadlineTestCodec) Append(buf []byte, msg any) ([]byte, error) {
-	r, ok := msg.(echoReq)
-	if !ok {
-		return nil, ErrUnsupportedType
-	}
-	buf = append(buf, byte(len(r.Msg)))
-	return append(buf, r.Msg...), nil
-}
-
-func (deadlineTestCodec) Decode(data []byte) (any, error) {
-	if len(data) == 0 || int(data[0])+1 != len(data) {
-		return nil, errShortFrame
-	}
-	return echoReq{Msg: string(data[1:])}, nil
-}
-
-// TestFrameDeadlineRoundTrip exercises the v1 frame's deadline block
+// TestFrameDeadlineRoundTrip exercises the request frame's deadline block
 // directly: flags bit2 set ⇒ a uvarint of absolute unix nanos between the
 // flags byte and the message payload; bit2 clear ⇒ the old layout.
 func TestFrameDeadlineRoundTrip(t *testing.T) {
-	SetCodec(deadlineTestCodec{})
-	defer SetCodec(nil)
-
 	deadline := time.Now().Add(time.Second).UnixNano()
-	buf, err := encodeRequestV1(42, obs.TraceContext{TraceID: 7, SpanID: 9, Sampled: true}, false, deadline, echoReq{Msg: "dl"}, nil)
+	buf, err := encodeRequest(42, obs.TraceContext{TraceID: 7, SpanID: 9, Sampled: true}, false, deadline, echoReq{Msg: "dl"}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	req, _, err := decodeRequest((*buf)[4:], nil, nil) // skip the length prefix
+	req, err := decodeRequest((*buf)[4:], nil) // skip the length prefix
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,11 +206,11 @@ func TestFrameDeadlineRoundTrip(t *testing.T) {
 	}
 
 	// No deadline ⇒ bit2 clear ⇒ zero on decode.
-	buf, err = encodeRequestV1(43, obs.TraceContext{}, false, 0, echoReq{Msg: "none"}, nil)
+	buf, err = encodeRequest(43, obs.TraceContext{}, false, 0, echoReq{Msg: "none"}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	req, _, err = decodeRequest((*buf)[4:], nil, nil)
+	req, err = decodeRequest((*buf)[4:], nil)
 	if err != nil {
 		t.Fatal(err)
 	}

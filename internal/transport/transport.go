@@ -6,14 +6,14 @@
 //     All experiments run on it so network latency is a controlled
 //     parameter.
 //   - TCP (tcp.go, frame.go): a real network transport used by the cmd/
-//     servers, proving the protocols run over a real stack. Frames are
-//     length-prefixed with a one-byte codec tag: registered messages ride
-//     the zero-allocation binary codec (internal/wire, installed via
-//     SetCodec), everything else falls back to a per-connection gob stream,
-//     so mixed-version peers and unregistered types keep working.
+//     servers, proving the protocols run over a real stack. There is one
+//     wire format: frame.go owns the length prefix and the request/response
+//     header, and the message body is produced by the Codec installed via
+//     SetCodec (internal/wire's zero-allocation binary codec v1).
 //
-// Requests and responses are plain Go values; consumers register concrete
-// types for the gob fallback with RegisterType.
+// Requests and responses are plain Go values. Over TCP a value must be a
+// message the installed codec knows; anything else fails that one call with
+// ErrUnsupportedType.
 package transport
 
 import (
@@ -34,9 +34,9 @@ var (
 	ErrClosed      = errors.New("transport: closed")
 
 	// ErrDeadlineExceeded is returned (as itself locally, as a RemoteError
-	// with the same text over TCP) when a request's propagated deadline had
-	// already expired when the server went to dispatch it: the work was
-	// dropped before touching the storage engine.
+	// that errors.Is matches to it over TCP) when a request's propagated
+	// deadline had already expired when the server went to dispatch it: the
+	// work was dropped before touching the storage engine.
 	ErrDeadlineExceeded = errors.New("transport: deadline exceeded")
 )
 
@@ -82,6 +82,12 @@ type RemoteError struct{ Msg string }
 
 // Error returns the remote error text.
 func (e *RemoteError) Error() string { return e.Msg }
+
+// Is makes a server's deadline drop match ErrDeadlineExceeded on the calling
+// side of a TCP connection, where only the error text travels.
+func (e *RemoteError) Is(target error) bool {
+	return target == ErrDeadlineExceeded && e.Msg == ErrDeadlineExceeded.Error()
+}
 
 // LatencyModel describes one-way message delay.
 type LatencyModel struct {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -15,9 +16,37 @@ import (
 type echoReq struct{ Msg string }
 type echoResp struct{ Msg string }
 
-func init() {
-	RegisterType(echoReq{})
-	RegisterType(echoResp{})
+// testCodec is the payload codec every test in this package runs on (the
+// real one lives in internal/wire, which these tests must not import): one
+// type byte, then the message text.
+type testCodec struct{}
+
+func (testCodec) Append(buf []byte, msg any) ([]byte, error) {
+	switch m := msg.(type) {
+	case echoReq:
+		return append(append(buf, 'q'), m.Msg...), nil
+	case echoResp:
+		return append(append(buf, 'r'), m.Msg...), nil
+	}
+	return nil, fmt.Errorf("%w: %T", ErrUnsupportedType, msg)
+}
+
+func (testCodec) Decode(data []byte) (any, error) {
+	if len(data) == 0 {
+		return nil, errShortFrame
+	}
+	switch data[0] {
+	case 'q':
+		return echoReq{Msg: string(data[1:])}, nil
+	case 'r':
+		return echoResp{Msg: string(data[1:])}, nil
+	}
+	return nil, fmt.Errorf("testCodec: unknown type byte %#x", data[0])
+}
+
+func TestMain(m *testing.M) {
+	SetCodec(testCodec{})
+	os.Exit(m.Run())
 }
 
 var echo = HandlerFunc(func(ctx context.Context, req any) (any, error) {
@@ -320,7 +349,7 @@ func TestTCPServerMaxInflight(t *testing.T) {
 		inflight.Add(-1)
 		return req, nil
 	})
-	srv, err := NewTCPServerOpts("127.0.0.1:0", blocking, TCPServerOptions{MaxInflight: limit})
+	srv, err := newTCPServer("127.0.0.1:0", blocking, TCPServerOptions{}, limit)
 	if err != nil {
 		t.Fatal(err)
 	}

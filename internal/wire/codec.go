@@ -19,10 +19,8 @@
 // Versioning rules: type IDs and field order are append-only — a new field
 // goes at the end of its message under a NEW type ID (vN+1 message) or a
 // new message type; existing IDs never change meaning. A peer that does
-// not know a type ID cannot decode the frame, which is why the transport
-// keeps the per-frame gob fallback: unregistered or newer-than-me types
-// travel as gob, so mixed-version clusters interoperate at reduced speed
-// instead of failing.
+// not know a type ID cannot decode the frame and drops the connection, so
+// a new message is deployed to receivers before any sender uses it.
 //
 // There is no reflection anywhere on these paths, and encoding appends to
 // a caller-owned (pooled) buffer, so a steady-state encode allocates
@@ -265,8 +263,8 @@ func (r *reader) tc() obs.TraceContext {
 // ---- message dispatch ----
 
 // appendMessage encodes typeID + fields for every registered message. It
-// returns transport.ErrUnsupportedType for anything else, which makes the
-// transport fall back to a gob frame.
+// returns transport.ErrUnsupportedType for anything else, which fails that
+// one call.
 func appendMessage(b []byte, msg any) ([]byte, error) {
 	switch m := msg.(type) {
 	case GetRequest:
@@ -673,7 +671,7 @@ func decReplicateData(r *reader) ReplicateData {
 }
 
 // appendReplicated nests the inner message with the same dispatch; an inner
-// type without a v1 codec makes the whole envelope fall back to gob. The
+// type without a v1 codec makes the whole envelope unencodable. The
 // any-typed field is last, so no inner length prefix is needed.
 func appendReplicated(b []byte, m *Replicated) ([]byte, error) {
 	b = au(b, m.Epoch)

@@ -13,8 +13,8 @@ import (
 // FuzzCodecRoundTrip drives the codec from two directions:
 //
 //  1. Structured: build hot-path messages from fuzzed primitives and demand
-//     decode(encode(m)) == m, and that the gob fallback path decodes the
-//     same message to the same value (the two frame tags are equivalent).
+//     decode(encode(m)) == m, and that gob — the tests' independent
+//     oracle — decodes the same message to the same value.
 //  2. Adversarial: feed the raw fuzz input straight to Decode. It must
 //     never panic or over-allocate; when it does decode, the result must
 //     re-encode canonically (decode∘encode is idempotent).

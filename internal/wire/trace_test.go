@@ -1,29 +1,6 @@
 package wire
 
-import (
-	"bytes"
-	"encoding/gob"
-	"testing"
-
-	"repro/internal/clock"
-	"repro/internal/obs"
-)
-
-// roundTrip pushes msg through the gob codec as an interface payload — the
-// shape the TCP frame carries — and returns the decoded value.
-func roundTrip(t *testing.T, msg any) any {
-	t.Helper()
-	var buf bytes.Buffer
-	env := struct{ Payload any }{Payload: msg}
-	if err := gob.NewEncoder(&buf).Encode(&env); err != nil {
-		t.Fatalf("%T: encode: %v", msg, err)
-	}
-	var out struct{ Payload any }
-	if err := gob.NewDecoder(&buf).Decode(&out); err != nil {
-		t.Fatalf("%T: decode: %v", msg, err)
-	}
-	return out.Payload
-}
+import "testing"
 
 func TestTraceIDDeterministic(t *testing.T) {
 	a := TxnID{Client: 7, Seq: 42}.TraceID()
@@ -39,58 +16,5 @@ func TestTraceIDDeterministic(t *testing.T) {
 	}
 	if c := (TxnID{Client: 7, Seq: 43}).TraceID(); c == a {
 		t.Fatalf("distinct seqs share trace ID %x", a)
-	}
-}
-
-// TestTraceContextGobRoundTrip checks the trace-bearing wire messages survive
-// the codec with every field intact — in particular the per-op TraceContext
-// inside a coalesced replication batch, which is what lets one batch carry
-// spans for many originating clients.
-func TestTraceContextGobRoundTrip(t *testing.T) {
-	ts := clock.Timestamp{Ticks: 99, Client: 3}
-	tc := obs.TraceContext{TraceID: 0xdeadbeefcafe, SpanID: 0x1234, Sampled: true}
-
-	rd := roundTrip(t, ReplicateData{Ops: []DataOp{
-		{Key: []byte("a"), Version: ts, TC: tc},
-		{Key: []byte("b"), Version: ts}, // untraced op in the same batch
-	}}).(ReplicateData)
-	if len(rd.Ops) != 2 {
-		t.Fatalf("ops lost: %+v", rd)
-	}
-	if rd.Ops[0].TC != tc {
-		t.Fatalf("DataOp.TC lost in transit: %+v", rd.Ops[0].TC)
-	}
-	if rd.Ops[1].TC != (obs.TraceContext{}) {
-		t.Fatalf("untraced op grew a context: %+v", rd.Ops[1].TC)
-	}
-
-	tq := roundTrip(t, TraceRequest{TraceID: tc.TraceID}).(TraceRequest)
-	if tq.TraceID != tc.TraceID {
-		t.Fatalf("TraceRequest.TraceID = %x, want %x", tq.TraceID, tc.TraceID)
-	}
-
-	span := obs.SpanRecord{
-		TraceID: tc.TraceID, SpanID: 5, Parent: 4,
-		Node: "shard0/r1", Name: "replicate-op",
-		Start: 100, End: 250, Outcome: "ok",
-	}
-	health := clock.Health{OffsetNs: -1500, ResidualNs: -1200, DriftNs: -300, SinceSyncNs: 7e8, UncertaintyNs: 1500}
-	tr := roundTrip(t, TraceResponse{Addr: "shard0/r1", Spans: []obs.SpanRecord{span}, Clock: health}).(TraceResponse)
-	if tr.Addr != "shard0/r1" || len(tr.Spans) != 1 || tr.Spans[0] != span {
-		t.Fatalf("TraceResponse mangled: %+v", tr)
-	}
-	if tr.Clock != health {
-		t.Fatalf("TraceResponse.Clock = %+v, want %+v", tr.Clock, health)
-	}
-
-	if _, ok := roundTrip(t, TimeHealthRequest{}).(TimeHealthRequest); !ok {
-		t.Fatalf("TimeHealthRequest lost its type")
-	}
-	th := roundTrip(t, TimeHealthResponse{
-		Addr: "shard1/r0", Shard: 1, Primary: true,
-		Clock: health, Now: ts, Watermark: clock.Timestamp{Ticks: 42}, WatermarkLagNs: 57,
-	}).(TimeHealthResponse)
-	if th.Addr != "shard1/r0" || !th.Primary || th.Clock != health || th.WatermarkLagNs != 57 {
-		t.Fatalf("TimeHealthResponse mangled: %+v", th)
 	}
 }

@@ -1,6 +1,6 @@
 // Package wire defines every RPC message exchanged between SEMEL/MILANA
 // clients and servers. Messages are plain structs so they travel unchanged
-// over both the in-process bus and the TCP/gob transport.
+// over both the in-process bus and (encoded by codec.go) the TCP transport.
 package wire
 
 import (
@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/clock"
 	"repro/internal/obs"
-	"repro/internal/transport"
 )
 
 // ---- SEMEL key-value operations (§3) ----
@@ -471,32 +470,4 @@ type WALStatusResponse struct {
 	// recovery (zero when the process started from an empty log).
 	ReplayRecords int64
 	ReplayNs      int64
-}
-
-// registeredMessages lists one zero value of every message type that
-// crosses the wire; init registers them with the gob codec, and the
-// round-trip test sweeps the same list so no type ships unregistered or
-// untested.
-func registeredMessages() []any {
-	return []any{
-		GetRequest{}, GetResponse{}, MultiGetRequest{}, MultiGetResponse{},
-		Replicated{},
-		PutRequest{}, PutResponse{},
-		DeleteRequest{}, DeleteResponse{}, ReplicateData{}, Ack{}, BatchAck{},
-		WatermarkBroadcast{}, PrepareRequest{}, PrepareResponse{},
-		DecisionRequest{}, DecisionResponse{}, StatusRequest{}, StatusResponse{},
-		ReplicatePrepare{}, ReplicateDecision{}, LeaseRequest{}, LeaseResponse{},
-		RecoveryPullRequest{}, RecoveryPullResponse{}, PromoteRequest{}, PromoteResponse{},
-		StatsRequest{}, StatsResponse{},
-		TraceRequest{}, TraceResponse{}, TimeHealthRequest{}, TimeHealthResponse{},
-		AuditRequest{}, AuditResponse{},
-		TSDBRequest{}, TSDBResponse{},
-		WALCheckpoint{}, WALStatusRequest{}, WALStatusResponse{},
-	}
-}
-
-func init() {
-	for _, v := range registeredMessages() {
-		transport.RegisterType(v)
-	}
 }

@@ -1,14 +1,6 @@
 package wire
 
-import (
-	"bytes"
-	"encoding/gob"
-	"reflect"
-	"testing"
-
-	"repro/internal/clock"
-	"repro/internal/obs"
-)
+import "testing"
 
 func TestStringers(t *testing.T) {
 	if got := (TxnID{Client: 7, Seq: 42}).String(); got != "7.42" {
@@ -36,107 +28,5 @@ func TestStringers(t *testing.T) {
 	}
 	if NumAbortReasons != len(reasons) {
 		t.Fatalf("NumAbortReasons = %d, want %d", NumAbortReasons, len(reasons))
-	}
-}
-
-// TestGobRoundTrip pushes every registered message through the gob codec the
-// TCP transport uses, as an interface value — the shape the wire sees.
-func TestGobRoundTrip(t *testing.T) {
-	ts := clock.Timestamp{Ticks: 99, Client: 3}
-	msgs := []any{
-		GetRequest{Key: []byte("k"), At: ts, AnyReplica: true},
-		GetResponse{Val: []byte("v"), Version: ts, Found: true, PreparedAtOrBefore: true},
-		MultiGetRequest{Keys: [][]byte{[]byte("a"), []byte("b")}, At: ts},
-		MultiGetResponse{Items: []GetResponse{{Found: true}}},
-		PutRequest{Key: []byte("k"), Val: []byte("v"), Version: ts},
-		PutResponse{Rejected: true},
-		DeleteRequest{Key: []byte("k"), Version: ts},
-		DeleteResponse{},
-		ReplicateData{Ops: []DataOp{
-			{Key: []byte("k"), Val: []byte("v"), Version: ts, Tombstone: true,
-				TC: obs.TraceContext{TraceID: 8, SpanID: 9, Sampled: true}},
-		}},
-		Replicated{Epoch: 7, Msg: ReplicateData{Ops: []DataOp{{Key: []byte("k"), Version: ts}}}},
-		Ack{},
-		BatchAck{Errs: []string{"", "rejected: stale version", ""}},
-		WatermarkBroadcast{Client: 1, Ts: ts},
-		PrepareRequest{ID: TxnID{Client: 1, Seq: 2}, CommitTs: ts, ReadSet: []ReadKey{{Key: []byte("r"), Version: ts}}, WriteSet: []KV{{Key: []byte("w"), Val: []byte("x")}}, Participants: []int{0, 1}},
-		PrepareResponse{OK: false, Reason: "x", Code: AbortLateWrite},
-		DecisionRequest{ID: TxnID{Client: 1, Seq: 2}, Commit: true},
-		DecisionResponse{},
-		StatusRequest{ID: TxnID{Client: 1, Seq: 2}},
-		StatusResponse{Status: StatusCommitted},
-		ReplicatePrepare{Record: TxnRecord{ID: TxnID{Client: 1, Seq: 2}, CommitTs: ts, Status: StatusPrepared}},
-		ReplicateDecision{ID: TxnID{Client: 1, Seq: 2}, Commit: true},
-		LeaseRequest{Primary: "p", Expiry: ts},
-		LeaseResponse{Granted: true},
-		RecoveryPullRequest{Since: ts},
-		RecoveryPullResponse{Txns: []TxnRecord{{ID: TxnID{Client: 9}}}, LeaseExpiry: ts},
-		PromoteRequest{},
-		PromoteResponse{},
-		TraceRequest{TraceID: 11},
-		TraceResponse{Addr: "shard0/r1",
-			Spans: []obs.SpanRecord{{TraceID: 11, SpanID: 2, Parent: 1, Node: "shard0/r1", Name: "serve", Start: 5, End: 9, Outcome: "ok"}},
-			Clock: clock.Health{OffsetNs: 120, ResidualNs: 50, DriftNs: 10, SinceSyncNs: 100, UncertaintyNs: 60}},
-		TimeHealthRequest{},
-		TimeHealthResponse{Addr: "shard0/r0", Shard: 0, Primary: true,
-			Clock: clock.Health{OffsetNs: -40, ResidualNs: -20, UncertaintyNs: 20},
-			Now:   ts, Watermark: clock.Timestamp{Ticks: 90, Client: 3}, WatermarkLagNs: 9},
-		AuditRequest{},
-		AuditResponse{Addr: "shard0/r0", Enabled: true, Profile: "ntp",
-			Pending: 3, UnknownRetained: 1, WindowsChecked: 4, WindowsSkipped: 2,
-			Convictions: 1, EpsilonViolations: 2, LastCut: ts,
-			Artifacts: [][]byte{[]byte(`{"kind":"conviction"}`)}},
-		TSDBRequest{Patterns: []string{"semel_"}, LastN: 10},
-		TSDBResponse{Addr: "shard0/r0", IntervalNs: 1e9,
-			Series: []obs.SeriesDump{{Name: "semel_watermark_lag_ns", Seq: 3, First: 7, Deltas: []int64{1, -2}}}},
-		StatsRequest{Detailed: true},
-		StatsResponse{Addr: "a", Primary: true, Gets: 5, Watermark: ts,
-			Obs: obs.Snapshot{
-				Counters: map[string]int64{`milana_aborts_total{reason="READ_STALE"}`: 2},
-				Gauges:   map[string]int64{"semel_watermark_ticks": 99},
-				Hists: map[string]obs.HistogramSnapshot{
-					`semel_serve_ns{op="get"}`: {Count: 1, Sum: 40, Buckets: []obs.Bucket{{Idx: 4, N: 1}}},
-				},
-			}},
-		WALCheckpoint{Epoch: 4, Watermark: ts, LeasePrimary: "shard0/r0", LeaseExpiry: ts,
-			Txns: []TxnRecord{{ID: TxnID{Client: 2, Seq: 5}, CommitTs: ts, WriteSet: []KV{{Key: []byte("k"), Val: []byte("v")}}, Status: StatusCommitted}},
-			Data: []DataOp{{Key: []byte("d"), Val: []byte("1"), Version: ts}}},
-		WALStatusRequest{},
-		WALStatusResponse{Addr: "shard0/r1", Enabled: true, AppendedLSN: 20, DurableLSN: 19,
-			CheckpointLSN: 12, Segments: 3, Bytes: 999, Fsyncs: 5, ReplayRecords: 8, ReplayNs: 1234},
-	}
-	covered := map[reflect.Type]bool{}
-	for _, msg := range msgs {
-		covered[reflect.TypeOf(msg)] = true
-		var buf bytes.Buffer
-		// Encode as interface, the way the TCP frame carries payloads.
-		env := struct{ Payload any }{Payload: msg}
-		if err := gob.NewEncoder(&buf).Encode(&env); err != nil {
-			t.Fatalf("%T: encode: %v", msg, err)
-		}
-		var out struct{ Payload any }
-		if err := gob.NewDecoder(&buf).Decode(&out); err != nil {
-			t.Fatalf("%T: decode: %v", msg, err)
-		}
-		if out.Payload == nil {
-			t.Fatalf("%T: payload lost", msg)
-		}
-		if reflect.TypeOf(out.Payload) != reflect.TypeOf(msg) {
-			t.Fatalf("%T decoded as %T", msg, out.Payload)
-		}
-		// Field-exact round trip: a silently dropped or renamed field is
-		// a protocol bug even if nothing crashes.
-		if !reflect.DeepEqual(out.Payload, msg) {
-			t.Fatalf("%T round trip altered the message:\n in: %+v\nout: %+v", msg, msg, out.Payload)
-		}
-	}
-
-	// Every type the transport registers must appear above — adding a
-	// message to wire.go without extending this test is an error.
-	for _, v := range registeredMessages() {
-		if !covered[reflect.TypeOf(v)] {
-			t.Errorf("registered message %T has no round-trip case", v)
-		}
 	}
 }
