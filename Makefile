@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race check cover nogob audit stress overload crash bench benchquick benchcmp benchall
+.PHONY: all build vet test race check cover nogob onecarrier audit stress overload crash bench benchquick benchcmp benchall
 
 all: check
 
@@ -40,6 +40,15 @@ nogob:
 	if [ -n "$$bad" ]; then echo "nogob: encoding/gob imported outside tests by:"; echo "$$bad"; exit 1; fi; \
 	echo "nogob: ok"
 
+# onecarrier keeps the request record (internal/obs/req.go) the only value
+# shipped code puts in a context.Context: context.WithValue may appear in
+# tests and in that one file, nowhere else under internal/ or cmd/ — so a
+# second per-request carrier cannot grow back unnoticed.
+onecarrier:
+	@bad=$$(grep -rl --include='*.go' 'context\.WithValue' internal cmd | grep -v '_test\.go$$' | grep -vx 'internal/obs/req.go'); \
+	if [ -n "$$bad" ]; then echo "onecarrier: context.WithValue outside internal/obs/req.go in:"; echo "$$bad"; exit 1; fi; \
+	echo "onecarrier: ok"
+
 # audit runs the online-audit gate under the race detector: chaos runs with
 # the streaming auditor attached must stay silent (zero convictions, zero
 # ε violations), a mutated cluster must be convicted online, the streaming
@@ -53,11 +62,13 @@ audit:
 # full test suite under the race detector (which includes a small
 # 2-seed × 3-profile chaos sweep via TestStressChaosSweep and the online
 # audit suite), hold the coverage floor, survive the crash/durability gate,
-# and keep encoding/gob out of everything that ships.
+# keep encoding/gob out of everything that ships, and keep the request record
+# the only context value.
 check:
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(MAKE) nogob
+	$(MAKE) onecarrier
 	$(GO) test -race ./...
 	$(MAKE) cover
 	$(MAKE) crash

@@ -45,7 +45,7 @@ func main() {
 		peers   = flag.String("peers", "", "comma-separated replica addresses of this shard, primary first")
 		shards  = flag.String("shards", "", "full shard map: ';'-separated shards, each a ','-separated address list")
 		backend = flag.String("backend", core.BackendDRAM, "storage backend: dram|mftl|vftl|sftl")
-		metrics = flag.String("metrics", "", "address for the HTTP debug endpoint (/metrics, /metrics.json, /debug/timehealth, /debug/audit, /debug/pprof/); empty disables")
+		metrics = flag.String("metrics", "", "address for the HTTP debug endpoint (/metrics, /metrics.json, /debug/timehealth, /debug/audit, /debug/tsdb, /debug/pprof/); empty disables")
 		slowlog = flag.Duration("slowlog", 0, "log one structured line for any RPC slower than this (0 disables)")
 		skewWin = flag.Duration("skew-window", 0, "validation-abort margins within this window count as skew-induced in abort provenance (0 = all conflict)")
 

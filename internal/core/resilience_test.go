@@ -17,6 +17,7 @@ import (
 	"repro/internal/clock"
 	"repro/internal/faults"
 	"repro/internal/milana"
+	"repro/internal/obs"
 	"repro/internal/resilience"
 	"repro/internal/transport"
 	"repro/internal/wire"
@@ -605,10 +606,9 @@ func TestResilienceOverheadGate(t *testing.T) {
 		}
 	})
 	adm := resilience.NewAdmission(resilience.AdmissionOptions{})
-	// Server-side contexts carry a few value layers (trace, queue wait);
-	// admission pays for walking them, so the benchmark context does too.
-	type k1 struct{}
-	actx := context.WithValue(context.WithValue(ctx, k1{}, 1), struct{ k2 int }{}, 2)
+	// A traced server-side context carries one value, the request record;
+	// admission pays for looking it up, so the benchmark context does too.
+	actx := obs.WithReq(ctx, obs.Req{TraceContext: obs.TraceContext{TraceID: 1, SpanID: 2, Sampled: true}})
 	nsAdmitRead := bench("admit read/prepare", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if adm.Admit(actx, wire.GetRequest{}) == nil {

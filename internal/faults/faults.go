@@ -292,6 +292,21 @@ func (in *Injector) decide() decision {
 	return d
 }
 
+// beginDuplicate registers one duplicate delivery with the WaitGroup Quiesce
+// waits on. It does so under mu and only while the injector is still
+// enabled: a call that drew its duplicate before a Quiesce but was delayed
+// past it sends none, and every Add is ordered before that Quiesce's Wait.
+func (in *Injector) beginDuplicate() bool {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	if !in.enabled {
+		return false
+	}
+	in.stats.Duplicates++
+	in.wg.Add(1)
+	return true
+}
+
 func (in *Injector) call(ctx context.Context, from, to string, req any) (any, error) {
 	in.mu.Lock()
 	inner := in.inner
@@ -332,12 +347,10 @@ func (in *Injector) call(ctx context.Context, from, to string, req any) (any, er
 		in.count(func(s *Stats) { s.DroppedRequests++ })
 		return nil, fmt.Errorf("%w: request %s → %s", ErrInjected, from, to)
 	}
-	if d.dup {
+	if d.dup && in.beginDuplicate() {
 		// Deliver a second copy concurrently and discard its response —
 		// the redelivery a duplicating network causes. The receiver must
 		// treat it idempotently; Quiesce waits for stragglers.
-		in.count(func(s *Stats) { s.Duplicates++ })
-		in.wg.Add(1)
 		go func() {
 			defer in.wg.Done()
 			if in.reachable(from, to) {

@@ -76,22 +76,18 @@ type Client struct {
 
 	cache *valueCache
 
-	// tracer, when attached via SetMetrics, times every transaction's
-	// lifecycle stages (read/validate/prepare/decision) and keeps a ring
-	// of recent traces. Nil means tracing is off (the default).
-	tracer *obs.Tracer
-
 	// spans, when attached via EnableTracing, makes every transaction a
-	// sampled distributed trace: its RPCs carry a TraceContext, every
-	// server they touch records spans, and the client records the root
-	// span stamped with its own (skewed) clock. Nil disables (default).
+	// sampled distributed trace: its request record carries a TraceContext
+	// on every RPC, every server they touch records spans, and the client
+	// records the root span stamped with its own (skewed) clock. Nil
+	// disables (default).
 	spans *obs.SpanStore
 
 	// stages, when attached via EnableStages, gives every transaction a
-	// pooled stage ledger: its RPCs carry the ledger in ctx (and request
-	// the server's stage block over TCP), and finish folds it into
-	// milana_stage_ledger_ns{stage=...} against the transaction's wall
-	// time. Nil disables (default).
+	// pooled stage ledger: its request record carries the ledger on every
+	// RPC (and requests the server's stage block over TCP), and finish
+	// folds it into milana_stage_ledger_ns{stage=...} against the
+	// transaction's wall time. Nil disables (default).
 	stages *obs.StageSet
 
 	// sinks receive every finished transaction: the offline History
@@ -158,20 +154,6 @@ func (c *Client) Stats() Stats {
 	}
 	return st
 }
-
-// SetMetrics attaches a metrics registry. Every transaction then feeds
-// per-stage latency histograms (milana_client_txn_stage_ns{stage="read"|
-// "validate"|"prepare"|"decision"}), an outcome counter distinguishing
-// read-only from read-write commits and abort reasons, a total-latency
-// histogram, and a ring buffer of the 64 most recent traces. Call before
-// the client issues transactions; not safe to swap concurrently with them.
-func (c *Client) SetMetrics(reg *obs.Registry) {
-	c.tracer = obs.NewTracer(reg, "milana_client_txn", 64)
-}
-
-// Tracer returns the client's span tracer (nil until SetMetrics is called),
-// for inspecting recent or slowest transaction traces.
-func (c *Client) Tracer() *obs.Tracer { return c.tracer }
 
 // EnableTracing turns on distributed tracing: every subsequent transaction
 // propagates a TraceContext on its RPCs (trace ID = Txn.ID().TraceID()) and
@@ -308,24 +290,19 @@ type Txn struct {
 	nonLocal bool
 	// cachedKeys are reads served from the cache, invalidated on abort.
 	cachedKeys []string
-	// sp times the transaction's stages when the client has a tracer;
-	// readTime accumulates time spent in read RPCs across Get/GetMany.
-	sp       *obs.Span
-	readTime time.Duration
-	// tc is the transaction's distributed-trace context (EnableTracing):
-	// every RPC carries it, and spanEnd records the root span under it.
-	tc obs.TraceContext
+	// req is the transaction's request record, attached to every RPC's
+	// context: the trace context (EnableTracing) under which spanEnd records
+	// the root span, and the stage ledger (EnableStages), folded and released
+	// exactly once by finish. wallStart anchors the ledger's end-to-end side
+	// of the accounting identity.
+	req       obs.Req
+	wallStart time.Time
 	// commitTs is the serialization point recorded into the history: the
 	// 2PC commit timestamp, or begin for a locally validated read-only
 	// transaction. Zero until assigned.
 	commitTs clock.Timestamp
 	// unknown marks a transaction whose outcome the client never learned.
 	unknown bool
-	// led is the transaction's stage ledger (EnableStages), folded and
-	// released exactly once by finish; wallStart anchors its end-to-end
-	// side of the accounting identity.
-	led       *obs.Ledger
-	wallStart time.Time
 }
 
 // Begin starts a transaction at the client's current time.
@@ -337,14 +314,11 @@ func (c *Client) Begin() *Txn {
 		reads: make(map[string]readInfo),
 		write: make(map[string][]byte),
 	}
-	if c.tracer != nil {
-		t.sp = c.tracer.Start(t.id.String())
-	}
 	if c.spans != nil {
-		t.tc = obs.TraceContext{TraceID: t.id.TraceID(), SpanID: c.spans.NextID(), Sampled: true}
+		t.req.TraceContext = obs.TraceContext{TraceID: t.id.TraceID(), SpanID: c.spans.NextID(), Sampled: true}
 	}
 	if c.stages != nil {
-		t.led = obs.NewLedger()
+		t.req.Ledger = obs.NewLedger()
 		t.wallStart = time.Now()
 	}
 	for _, bs := range c.beginSinks {
@@ -353,24 +327,12 @@ func (c *Client) Begin() *Txn {
 	return t
 }
 
-// traceCtx annotates ctx with the transaction's trace context, so the RPC
-// (and, over TCP, the wire envelope) carries it to the server.
-func (t *Txn) traceCtx(ctx context.Context) context.Context {
-	if !t.tc.Sampled {
-		return ctx
-	}
-	return obs.WithTrace(ctx, t.tc)
-}
-
-// stageCtx annotates ctx with the transaction's stage ledger. It is applied
-// to read and 2PC RPC contexts but deliberately NOT to the detached
-// async-decision context: the ledger returns to its pool when the
-// transaction finishes, which can precede the async notify.
-func (t *Txn) stageCtx(ctx context.Context) context.Context {
-	if t.led == nil {
-		return ctx
-	}
-	return obs.WithStageLedger(ctx, t.led)
+// rpcCtx annotates ctx with the transaction's request record, so the RPC
+// (and, over TCP, the frame header) carries it to the server. It is for read
+// and 2PC calls, which finish awaits; the async decision notify runs on
+// req.Detached() instead.
+func (t *Txn) rpcCtx(ctx context.Context) context.Context {
+	return obs.WithReq(ctx, t.req)
 }
 
 // BeginReadWrite starts a transaction declared read-write in advance. Such
@@ -418,11 +380,7 @@ func (t *Txn) Get(ctx context.Context, key []byte) (val []byte, found bool, err 
 	if err != nil {
 		return nil, false, err
 	}
-	readStart := time.Now()
-	resp, err := t.c.readCall(t.stageCtx(t.traceCtx(ctx)), addr, wire.GetRequest{Key: key, At: t.begin, AnyReplica: anyReplica})
-	if t.sp != nil {
-		t.readTime += time.Since(readStart)
-	}
+	resp, err := t.c.readCall(t.rpcCtx(ctx), addr, wire.GetRequest{Key: key, At: t.begin, AnyReplica: anyReplica})
 	if err != nil {
 		return nil, false, err
 	}
@@ -512,7 +470,7 @@ func (t *Txn) finish(committed bool) {
 			s.Record(rec)
 		}
 	}
-	// Fallback span end for paths that didn't set a richer outcome
+	// Fallback root span for paths that didn't set a richer outcome
 	// (application Abort, snapshot-miss aborts).
 	if committed {
 		t.spanEnd("commit")
@@ -522,31 +480,27 @@ func (t *Txn) finish(committed bool) {
 	// Fold the stage ledger against the transaction's wall time and return
 	// it to the pool. Every RPC that could touch the ledger has completed
 	// by now: reads and prepares are awaited before finish, and the
-	// async-decision context deliberately carries no ledger.
-	if t.led != nil {
-		t.c.stages.Fold(t.led, time.Since(t.wallStart), t.id.TraceID())
-		t.led.Release()
-		t.led = nil
+	// async-decision context is detached, so it carries no ledger.
+	if led := t.req.Ledger; led != nil {
+		t.c.stages.Fold(led, time.Since(t.wallStart), t.id.TraceID())
+		led.Release()
+		t.req.Ledger = nil
 	}
 }
 
-// spanEnd ends the transaction's span exactly once with the given outcome.
-// With distributed tracing enabled it also records the trace's root span,
-// stamped begin→now with the client's own (skewed) clock, so the stitched
-// timeline has a client anchor alongside the server spans.
+// spanEnd records the trace's root span, exactly once, with the given
+// outcome: stamped begin→now with the client's own (skewed) clock, so the
+// stitched timeline has a client anchor alongside the server spans. A no-op
+// without distributed tracing.
 func (t *Txn) spanEnd(outcome string) {
-	if t.sp != nil {
-		t.sp.End(outcome)
-		t.sp = nil
-	}
-	if t.tc.Sampled {
+	if tc := t.req.TraceContext; tc.Sampled {
 		t.c.spans.Add(obs.SpanRecord{
-			TraceID: t.tc.TraceID, SpanID: t.tc.SpanID,
+			TraceID: tc.TraceID, SpanID: tc.SpanID,
 			Node: t.c.spans.Node(), Name: "txn",
 			Start: t.begin.Ticks, End: t.c.clk.Now().Ticks,
 			Outcome: outcome,
 		})
-		t.tc = obs.TraceContext{}
+		t.req.TraceContext = obs.TraceContext{}
 	}
 }
 
@@ -560,8 +514,6 @@ func (t *Txn) Commit(ctx context.Context) error {
 		return ErrTxnDone
 	}
 	if t.ReadOnly() && t.c.LocalValidation && !t.nonLocal {
-		t.sp.Record("read", t.readTime)
-		t.sp.Stage("validate")
 		for _, ri := range t.reads {
 			if ri.prepared {
 				t.c.abortReasons[wire.AbortReadPrepared].Add(1)
@@ -582,11 +534,9 @@ func (t *Txn) Commit(ctx context.Context) error {
 
 // commit2PC runs two-phase commit with the client as coordinator.
 func (t *Txn) commit2PC(ctx context.Context) error {
-	ctx = t.stageCtx(t.traceCtx(ctx))
+	ctx = t.rpcCtx(ctx)
 	commitTs := t.c.clk.Now()
 	t.commitTs = commitTs
-	t.sp.Record("read", t.readTime)
-	t.sp.Stage("prepare")
 
 	type shardSets struct {
 		reads  []wire.ReadKey
@@ -696,10 +646,6 @@ func (t *Txn) commit2PC(ctx context.Context) error {
 		t.finish(false)
 		return fmt.Errorf("%w: transaction %v: %v", ErrUnknown, t.id, firstErr)
 	}
-	// The decision stage covers phase two: synchronous notification when
-	// SyncDecisions is set, otherwise just the async dispatch.
-	t.sp.Stage("decision")
-
 	// Phase two: report the outcome, then notify participants — by
 	// default asynchronously (§4.2: "reports the outcome to the
 	// application and then asynchronously notifies all primaries").
@@ -707,7 +653,7 @@ func (t *Txn) commit2PC(ctx context.Context) error {
 	// fields are single-goroutine, so the closure must not read them.
 	dctx := ctx
 	if !t.c.SyncDecisions {
-		dctx = t.traceCtx(context.Background())
+		dctx = t.req.Detached()
 	}
 	notify := func() {
 		for _, shard := range participants {
@@ -846,8 +792,7 @@ func (t *Txn) GetMany(ctx context.Context, keys [][]byte) (map[string][]byte, er
 	for shard, shardKeys := range byShard {
 		fetches = append(fetches, shardFetch{shard: shard, keys: shardKeys})
 	}
-	ctx = t.stageCtx(t.traceCtx(ctx))
-	readStart := time.Now()
+	ctx = t.rpcCtx(ctx)
 	var wg sync.WaitGroup
 	for i := range fetches {
 		wg.Add(1)
@@ -873,9 +818,6 @@ func (t *Txn) GetMany(ctx context.Context, keys [][]byte) (map[string][]byte, er
 		}(&fetches[i])
 	}
 	wg.Wait()
-	if t.sp != nil {
-		t.readTime += time.Since(readStart)
-	}
 	for _, f := range fetches {
 		if f.err != nil {
 			return nil, f.err

@@ -422,7 +422,7 @@ func (m *Manager) applyDecision(ctx context.Context, rec wire.TxnRecord, commit 
 // flash-page program in the common case — is charged to the caller's
 // flash-program stage when ctx carries a ledger.
 func (m *Manager) applyWriteSet(ctx context.Context, rec wire.TxnRecord) error {
-	if led := obs.StageLedgerFrom(ctx); led != nil {
+	if led := obs.ReqFrom(ctx).Ledger; led != nil {
 		start := time.Now()
 		defer func() { led.Add(obs.StageFlashProgram, time.Since(start)) }()
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 )
 
 // WritePrometheus renders a snapshot in the Prometheus text exposition
@@ -44,10 +43,9 @@ func (s Snapshot) WritePrometheus(w io.Writer) error {
 //
 //	/metrics       Prometheus text format
 //	/metrics.json  the raw Snapshot as JSON (expvar-style debugging)
-//	/traces        recent traces from the given tracers, newest last
 //
-// tracers may be empty; extra paths 404.
-func Handler(reg *Registry, tracers ...*Tracer) http.Handler {
+// Extra paths 404.
+func Handler(reg *Registry) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
@@ -59,23 +57,12 @@ func Handler(reg *Registry, tracers ...*Tracer) http.Handler {
 		enc.SetIndent("", "  ")
 		_ = enc.Encode(reg.Snapshot())
 	})
-	mux.HandleFunc("/traces", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain")
-		var all []TraceRecord
-		for _, t := range tracers {
-			all = append(all, t.Recent()...)
-		}
-		sort.Slice(all, func(i, j int) bool { return all[i].Start.Before(all[j].Start) })
-		for _, rec := range all {
-			fmt.Fprintln(w, rec)
-		}
-	})
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/" {
 			http.NotFound(w, r)
 			return
 		}
-		fmt.Fprintln(w, "obs endpoints: /metrics /metrics.json /traces")
+		fmt.Fprintln(w, "obs endpoints: /metrics /metrics.json")
 	})
 	return mux
 }

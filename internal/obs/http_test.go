@@ -5,12 +5,10 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 )
 
-// handlerFixture builds a registry with one of each metric kind plus a
-// tracer holding one finished span.
-func handlerFixture() (*Registry, *Tracer) {
+// handlerFixture builds a registry with one of each metric kind.
+func handlerFixture() *Registry {
 	reg := NewRegistry()
 	reg.Counter("ops_total").Add(7)
 	reg.Gauge("depth").Set(3)
@@ -18,16 +16,11 @@ func handlerFixture() (*Registry, *Tracer) {
 	for i := 1; i <= 100; i++ {
 		h.Observe(int64(i) * 1000)
 	}
-	tr := NewTracer(reg, "txn", 8)
-	sp := tr.Start("t1")
-	sp.Record("validate", 5*time.Millisecond)
-	sp.End("commit")
-	return reg, tr
+	return reg
 }
 
 func TestHandlerMetrics(t *testing.T) {
-	reg, tr := handlerFixture()
-	srv := Handler(reg, tr)
+	srv := Handler(handlerFixture())
 
 	rec := httptest.NewRecorder()
 	srv.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
@@ -54,8 +47,7 @@ func TestHandlerMetrics(t *testing.T) {
 }
 
 func TestHandlerMetricsJSON(t *testing.T) {
-	reg, tr := handlerFixture()
-	srv := Handler(reg, tr)
+	srv := Handler(handlerFixture())
 
 	rec := httptest.NewRecorder()
 	srv.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics.json", nil))
@@ -77,31 +69,8 @@ func TestHandlerMetricsJSON(t *testing.T) {
 	}
 }
 
-func TestHandlerTraces(t *testing.T) {
-	reg, tr := handlerFixture()
-	srv := Handler(reg, tr)
-
-	rec := httptest.NewRecorder()
-	srv.ServeHTTP(rec, httptest.NewRequest("GET", "/traces", nil))
-	if rec.Code != 200 {
-		t.Fatalf("status = %d", rec.Code)
-	}
-	body := rec.Body.String()
-	if !strings.Contains(body, "t1") || !strings.Contains(body, "commit") {
-		t.Fatalf("/traces missing the recorded span:\n%s", body)
-	}
-
-	// A tracer-less handler still serves an empty trace list.
-	rec = httptest.NewRecorder()
-	Handler(reg).ServeHTTP(rec, httptest.NewRequest("GET", "/traces", nil))
-	if rec.Code != 200 || strings.TrimSpace(rec.Body.String()) != "" {
-		t.Fatalf("empty /traces = %d %q", rec.Code, rec.Body.String())
-	}
-}
-
 func TestHandlerIndexAnd404(t *testing.T) {
-	reg, _ := handlerFixture()
-	srv := Handler(reg)
+	srv := Handler(handlerFixture())
 
 	rec := httptest.NewRecorder()
 	srv.ServeHTTP(rec, httptest.NewRequest("GET", "/", nil))

@@ -1,7 +1,7 @@
 // Package obs is the repo's dependency-free observability layer: a metrics
 // registry of atomic counters, gauges and log-bucketed latency histograms,
-// plus a lightweight span/trace facility (trace.go) and HTTP exposition in
-// Prometheus text format (http.go).
+// the one per-request record every RPC's context carries (req.go), and HTTP
+// exposition in Prometheus text format (http.go).
 //
 // Design goals, in order:
 //

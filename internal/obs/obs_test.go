@@ -7,7 +7,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestBucketIndexRoundTrip(t *testing.T) {
@@ -288,49 +287,6 @@ func TestWritePrometheus(t *testing.T) {
 			t.Errorf("prometheus output missing %q:\n%s", want, out)
 		}
 	}
-}
-
-func TestTracerSpans(t *testing.T) {
-	r := NewRegistry()
-	tr := NewTracer(r, "txn", 4)
-	for i := 0; i < 6; i++ { // overflow the ring to exercise wrap-around
-		sp := tr.Start("t")
-		sp.Stage("read")
-		sp.Record("prepare", 3*time.Millisecond)
-		sp.End("commit")
-	}
-	recent := tr.Recent()
-	if len(recent) != 4 {
-		t.Fatalf("ring kept %d traces, want 4", len(recent))
-	}
-	for _, rec := range recent {
-		if rec.Outcome != "commit" || len(rec.Stages) != 2 {
-			t.Fatalf("bad trace record %+v", rec)
-		}
-	}
-	s := r.Snapshot()
-	if s.Counters[`txn_outcome_total{outcome="commit"}`] != 6 {
-		t.Fatalf("outcome counter = %d, want 6", s.Counters[`txn_outcome_total{outcome="commit"}`])
-	}
-	if s.Hists[`txn_stage_ns{stage="prepare"}`].Count != 6 {
-		t.Fatal("stage histogram not fed")
-	}
-	if s.Hists["txn_total_ns"].Count != 6 {
-		t.Fatal("total histogram not fed")
-	}
-	if got := s.Hists[`txn_stage_ns{stage="prepare"}`].QuantileDuration(0.5); got < 2*time.Millisecond || got > 4*time.Millisecond {
-		t.Fatalf("recorded stage p50 = %v, want ≈3ms", got)
-	}
-
-	if len(tr.Slowest(2)) != 2 {
-		t.Fatal("Slowest(2) must return 2 traces")
-	}
-
-	// Nil tracer and nil span are inert.
-	var nilTr *Tracer
-	sp := nilTr.Start("x")
-	sp.Stage("a")
-	sp.End("done")
 }
 
 func TestWithLabel(t *testing.T) {

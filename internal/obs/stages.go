@@ -6,15 +6,15 @@
 // tight clock uncertainty) is only checkable if each of those waits is
 // attributed separately and the attribution *adds up*. This file provides
 // the per-transaction Ledger (a pooled, allocation-frugal stamp vector that
-// rides the context just like TraceContext), and the StageSet that folds
-// finished ledgers into per-stage mergeable histograms with exemplar trace
-// IDs, enforcing the accounting identity: stage sum ≈ end-to-end, with the
-// residual tracked as its own "unattributed" stage and over-attribution
-// (parallel fan-out double-counts wall time) counted rather than hidden.
+// rides the context inside the request record, req.go), and the StageSet
+// that folds finished ledgers into per-stage mergeable histograms with
+// exemplar trace IDs, enforcing the accounting identity: stage sum ≈
+// end-to-end, with the residual tracked as its own "unattributed" stage and
+// over-attribution (parallel fan-out double-counts wall time) counted rather
+// than hidden.
 package obs
 
 import (
-	"context"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -153,33 +153,6 @@ func (l *Ledger) AddDeltas(ids []byte, ns []int64) {
 		if int(id) < int(StageUnattributed) {
 			l.AddNs(Stage(id), ns[i])
 		}
-	}
-}
-
-type stageLedgerKey struct{}
-
-// WithStageLedger returns ctx annotated with l. The in-process bus passes
-// ctx straight to handlers, so one ledger collects both client- and
-// server-side waits; the TCP transport keeps a server-local ledger and
-// returns its deltas in the response frame instead.
-func WithStageLedger(ctx context.Context, l *Ledger) context.Context {
-	if l == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, stageLedgerKey{}, l)
-}
-
-// StageLedgerFrom extracts the stage ledger from ctx (nil if absent).
-func StageLedgerFrom(ctx context.Context) *Ledger {
-	l, _ := ctx.Value(stageLedgerKey{}).(*Ledger)
-	return l
-}
-
-// AttributeStage adds d to stage s of ctx's ledger, if any. The no-ledger
-// fast path is one context lookup.
-func AttributeStage(ctx context.Context, s Stage, d time.Duration) {
-	if l := StageLedgerFrom(ctx); l != nil {
-		l.Add(s, d)
 	}
 }
 

@@ -130,20 +130,20 @@ func TestLedgerDeltasRoundTrip(t *testing.T) {
 
 func TestStageLedgerContext(t *testing.T) {
 	ctx := context.Background()
-	if StageLedgerFrom(ctx) != nil {
+	if ReqFrom(ctx).Ledger != nil {
 		t.Fatal("empty ctx produced a ledger")
 	}
 	// Attributing without a ledger is a cheap no-op.
 	AttributeStage(ctx, StageNetwork, time.Second)
 
-	if got := WithStageLedger(ctx, nil); got != ctx {
-		t.Fatal("WithStageLedger(nil) allocated a new context")
+	if got := WithReq(ctx, Req{}); got != ctx {
+		t.Fatal("WithReq(zero record) allocated a new context")
 	}
 
 	l := NewLedger()
 	defer l.Release()
-	ctx = WithStageLedger(ctx, l)
-	if StageLedgerFrom(ctx) != l {
+	ctx = WithReq(ctx, Req{Ledger: l})
+	if ReqFrom(ctx).Ledger != l {
 		t.Fatal("ledger did not round-trip the context")
 	}
 	AttributeStage(ctx, StageCommitWait, 3*time.Millisecond)
@@ -242,7 +242,7 @@ func TestLedgerPoolStress(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				l := NewLedger()
-				ctx := WithStageLedger(context.Background(), l)
+				ctx := WithReq(context.Background(), Req{Ledger: l})
 				// Concurrent attribution into one ledger, as RPC fan-out does.
 				var inner sync.WaitGroup
 				for j := 0; j < 3; j++ {

@@ -1,17 +1,15 @@
-// Cross-node tracing. trace.go's Tracer/Span are node-local: they time the
-// stages of one operation on one goroutine. This file adds the distributed
-// half: a TraceContext that rides every RPC (in the transport envelope, and
-// per-op inside coalesced replication batches), a SpanStore ring where each
-// node records spans stamped with its *own* — possibly skewed — clock, and a
-// Collector that stitches spans pulled from many nodes into one timeline by
-// applying each node's estimated clock offset and annotating every edge with
-// the residual uncertainty the sync protocol left behind. The annotation is
-// the point: the same trace visibly tightens as the skew profile moves
+// Cross-node tracing: a TraceContext that rides every RPC (in the request
+// record of req.go, in the transport's frame header, and per-op inside
+// coalesced replication batches), a SpanStore ring where each node records
+// spans stamped with its *own* — possibly skewed — clock, and a Collector
+// that stitches spans pulled from many nodes into one timeline by applying
+// each node's estimated clock offset and annotating every edge with the
+// residual uncertainty the sync protocol left behind. The annotation is the
+// point: the same trace visibly tightens as the skew profile moves
 // NTP → PTP → DTP, which is the paper's argument rendered as a timeline.
 package obs
 
 import (
-	"context"
 	"fmt"
 	"hash/fnv"
 	"sort"
@@ -28,21 +26,6 @@ type TraceContext struct {
 	TraceID uint64
 	SpanID  uint64
 	Sampled bool
-}
-
-type traceCtxKey struct{}
-
-// WithTrace returns ctx annotated with tc. The in-process bus passes ctx
-// straight to handlers; the TCP transport copies tc into its wire envelope
-// and reconstructs the ctx server-side.
-func WithTrace(ctx context.Context, tc TraceContext) context.Context {
-	return context.WithValue(ctx, traceCtxKey{}, tc)
-}
-
-// TraceFrom extracts the trace context from ctx, if any.
-func TraceFrom(ctx context.Context) (TraceContext, bool) {
-	tc, ok := ctx.Value(traceCtxKey{}).(TraceContext)
-	return tc, ok && tc.Sampled
 }
 
 // SpanRecord is one finished span as recorded by one node. Start/End are raw

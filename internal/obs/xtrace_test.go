@@ -2,7 +2,6 @@ package obs
 
 import (
 	"context"
-	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -10,17 +9,16 @@ import (
 
 func TestTraceContextRoundTripsThroughContext(t *testing.T) {
 	tc := TraceContext{TraceID: 1, SpanID: 2, Sampled: true}
-	got, ok := TraceFrom(WithTrace(context.Background(), tc))
-	if !ok || got != tc {
-		t.Fatalf("TraceFrom = %+v, %v", got, ok)
+	if got := ReqFrom(WithReq(context.Background(), Req{TraceContext: tc})).TraceContext; got != tc {
+		t.Fatalf("ReqFrom = %+v", got)
 	}
-	if _, ok := TraceFrom(context.Background()); ok {
+	if ReqFrom(context.Background()).Sampled {
 		t.Fatal("empty ctx reported a trace")
 	}
 	// An unsampled context is deliberately invisible: carrying it is free.
-	unsampled := WithTrace(context.Background(), TraceContext{TraceID: 1})
-	if _, ok := TraceFrom(unsampled); ok {
-		t.Fatal("unsampled trace reported as present")
+	ctx := context.Background()
+	if WithReq(ctx, Req{TraceContext: TraceContext{TraceID: 1}}) != ctx {
+		t.Fatal("unsampled trace was attached")
 	}
 }
 
@@ -163,39 +161,5 @@ func TestSpanStoreConcurrent(t *testing.T) {
 	wg.Wait()
 	if len(s.Recent()) != 64 {
 		t.Fatalf("ring size drifted: %d", len(s.Recent()))
-	}
-}
-
-// TestTracerRingConcurrent exercises the node-local Tracer ring the same
-// way: concurrent span completion against collection — run under -race.
-func TestTracerRingConcurrent(t *testing.T) {
-	reg := NewRegistry()
-	tr := NewTracer(reg, "stress", 32)
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				sp := tr.Start(fmt.Sprintf("t-%d-%d", g, i))
-				sp.Stage("read")
-				sp.Stage("commit")
-				sp.End("COMMIT")
-			}
-		}(g)
-	}
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 100; i++ {
-				_ = tr.Recent()
-				_ = tr.Slowest(5)
-			}
-		}()
-	}
-	wg.Wait()
-	if got := len(tr.Recent()); got != 32 {
-		t.Fatalf("tracer ring holds %d records, want 32", got)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/transport"
 )
 
 // AdmissionOptions configure one server's admission controller.
@@ -95,7 +94,7 @@ func (a *Admission) Admit(ctx context.Context, req any) error {
 		return ErrDeadlineExceeded
 	}
 
-	wait := transport.QueueWaitFrom(ctx)
+	wait := obs.ReqFrom(ctx).QueueWait
 	if wait > 0 {
 		a.queueDelay.Observe(int64(wait))
 	}

@@ -8,6 +8,8 @@ import (
 	"context"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 type benchNet struct{}
@@ -45,14 +47,8 @@ func BenchmarkBreakerCall(b *testing.B) {
 
 func BenchmarkAdmitDone(b *testing.B) {
 	a := NewAdmission(AdmissionOptions{})
-	ctx := context.Background()
-	// Realistic server-side context depth: a few value layers.
-	type k1 struct{}
-	type k2 struct{}
-	type k3 struct{}
-	ctx = context.WithValue(ctx, k1{}, 1)
-	ctx = context.WithValue(ctx, k2{}, 2)
-	ctx = context.WithValue(ctx, k3{}, 3)
+	// Realistic server-side context depth: one value, the request record.
+	ctx := obs.WithReq(context.Background(), obs.Req{TraceContext: obs.TraceContext{TraceID: 1, SpanID: 2, Sampled: true}})
 	req := struct{}{}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

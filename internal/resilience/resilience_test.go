@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -309,14 +310,14 @@ func TestAdmissionQueueDelayShed(t *testing.T) {
 	a := NewAdmission(AdmissionOptions{MaxInflight: 1000, MaxQueueDelay: 10 * time.Millisecond})
 	// Depth is fine, but the request sat in the decode→dispatch queue too
 	// long: a read sheds at 1× the threshold, a prepare tolerates up to 4×.
-	slow := transport.WithQueueWait(context.Background(), 15*time.Millisecond)
+	slow := obs.WithReq(context.Background(), obs.Req{QueueWait: 15 * time.Millisecond})
 	if err := a.Admit(slow, wire.GetRequest{}); !IsServerBusy(err) {
 		t.Fatalf("queued read not shed: %v", err)
 	}
 	if err := a.Admit(slow, wire.PrepareRequest{}); err != nil {
 		t.Fatalf("prepare shed at 1.5× read threshold (limit is 4×): %v", err)
 	}
-	verySlow := transport.WithQueueWait(context.Background(), 50*time.Millisecond)
+	verySlow := obs.WithReq(context.Background(), obs.Req{QueueWait: 50 * time.Millisecond})
 	if err := a.Admit(verySlow, wire.PrepareRequest{}); !IsServerBusy(err) {
 		t.Fatalf("prepare queued past 4× threshold not shed: %v", err)
 	}

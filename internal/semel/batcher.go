@@ -140,7 +140,7 @@ func (b *batcher) close() {
 // durability traffic; see ReplicateToBackups) — only the wait is abandoned.
 func (b *batcher) replicate(ctx context.Context, op wire.DataOp) error {
 	p := pendingOp{op: op, ack: make(chan error, 1)}
-	led := obs.StageLedgerFrom(ctx)
+	led := obs.ReqFrom(ctx).Ledger
 	if led != nil {
 		p.enq = time.Now()
 		p.flushedAt = new(atomic.Int64)

@@ -66,7 +66,7 @@ func (c *Client) primaryFor(key []byte) (string, error) {
 func (c *Client) call(ctx context.Context, key []byte, req any) (any, error) {
 	if c.spans != nil {
 		id := c.spans.NextID()
-		ctx = obs.WithTrace(ctx, obs.TraceContext{TraceID: id, SpanID: id, Sampled: true})
+		ctx = obs.WithReq(ctx, obs.Req{TraceContext: obs.TraceContext{TraceID: id, SpanID: id, Sampled: true}})
 		start := c.clk.Now().Ticks
 		defer func() {
 			c.spans.Add(obs.SpanRecord{

@@ -550,12 +550,10 @@ func (s *Server) ReplicateToBackups(ctx context.Context, msg any) error {
 	// client that cancels its context right after its call returns would
 	// otherwise silently kill the delivery to the remaining backups,
 	// leaving them permanently short of acknowledged operations. Only the
-	// *wait* below honours the caller's context. The trace context crosses
-	// the detach — it carries no cancellation, only causality.
-	base := context.Background()
-	if tc, ok := obs.TraceFrom(ctx); ok {
-		base = obs.WithTrace(base, tc)
-	}
+	// *wait* below honours the caller's context. Identity and causality
+	// cross the detach; the caller's ledger does not — it may be released
+	// before the last backup answers.
+	base := obs.ReqFrom(ctx).Detached()
 	// The caller's propagated deadline caps the fan-out: once the
 	// coordinator has given up on the write, backups should not keep
 	// burning cycles on its replication (stragglers beyond the f+1 quorum
@@ -893,13 +891,17 @@ func (s *Server) Serve(ctx context.Context, req any) (any, error) {
 		}
 	}
 	name := spanName(req)
-	tc, traced := obs.TraceFrom(ctx)
+	rec := obs.ReqFrom(ctx)
+	tc, traced := rec.TraceContext, rec.Sampled
 	record := traced && name != "" && s.spans != nil
 	var spanID uint64
 	var startTicks int64
 	if record {
+		// Re-parent: a child record — this server's span as the sender, the
+		// same ledger — for everything downstream of this request.
 		spanID = s.spans.NextID()
-		ctx = obs.WithTrace(ctx, obs.TraceContext{TraceID: tc.TraceID, SpanID: spanID, Sampled: true})
+		rec.SpanID = spanID
+		ctx = obs.WithReq(ctx, rec)
 		startTicks = s.opt.Clock.Now().Ticks
 	}
 	start := time.Now()
@@ -1293,7 +1295,7 @@ func (s *Server) writeVersion(ctx context.Context, key, val []byte, ver clock.Ti
 	// Stamp the op with this request's trace context (the ctx already
 	// carries the put/delete span as parent): the batcher coalesces ops from
 	// many writers, so causality must ride per op, not per envelope.
-	if tc, ok := obs.TraceFrom(ctx); ok {
+	if tc := obs.ReqFrom(ctx).TraceContext; tc.Sampled {
 		op.TC = tc
 	}
 	if s.repl != nil {

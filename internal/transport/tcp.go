@@ -16,11 +16,11 @@ import (
 type wireRequest struct {
 	ID uint64
 	// TC carries the caller's trace context across the connection; the
-	// server reconstructs a ctx from it, so context-based propagation works
-	// identically over TCP and the in-process bus.
+	// server rebuilds the request record (obs.Req) from the header, so
+	// context-based propagation works identically over TCP and the bus.
 	TC obs.TraceContext
 	// WantStages asks the server to return its stage-latency ledger for
-	// this request (set when the caller's ctx carries an obs.Ledger).
+	// this request (set when the caller's request record carries a ledger).
 	WantStages bool
 	// DeadlineNs is the caller's absolute deadline in unix nanoseconds
 	// (0 = none). The server drops the request with ErrDeadlineExceeded if
@@ -94,11 +94,10 @@ type TCPServer struct {
 	// the pool cap is the MaxInflight bound: when every worker is busy, dispatch
 	// blocks, the decode loops stop reading, and TCP flow control pushes the
 	// backlog to the clients.
-	jobs       chan srvJob
-	workerIdle atomic.Int32
-	workerN    atomic.Int32
-	workerCap  int32
-	workerWG   sync.WaitGroup
+	jobs      chan srvJob
+	workerN   atomic.Int32
+	workerCap int32
+	workerWG  sync.WaitGroup
 
 	mu     sync.Mutex
 	conns  map[net.Conn]struct{}
@@ -113,8 +112,8 @@ type srvJob struct {
 	writeq chan<- *[]byte  // encoded response frames, to the write loop
 	wg     *sync.WaitGroup // the owning connection's in-flight count
 	// decodedAt is stamped by the read loop at decode time: handler-start
-	// minus decodedAt is the dispatch-queue wait, fed to the stage ledger
-	// and to admission control.
+	// minus decodedAt is the dispatch-queue wait, which handle puts in the
+	// request record for admission control and the stage ledger.
 	decodedAt time.Time
 }
 
@@ -152,20 +151,25 @@ func newTCPServer(addr string, h Handler, opt TCPServerOptions, maxInflight int3
 	return s, nil
 }
 
-// dispatch hands one request to the worker pool, growing it (up to
-// workerCap) when no worker is idle.
+// dispatch hands one request to the worker pool. The handoff itself says
+// whether a worker is free: jobs is unbuffered, so a non-blocking send
+// succeeds only when a worker is parked on the receive. Otherwise the pool
+// grows (up to workerCap) and the send blocks until a worker takes the job.
 func (s *TCPServer) dispatch(j srvJob) {
-	if s.workerIdle.Load() == 0 {
-		for {
-			n := s.workerN.Load()
-			if n >= s.workerCap {
-				break
-			}
-			if s.workerN.CompareAndSwap(n, n+1) {
-				s.workerWG.Add(1)
-				go s.worker()
-				break
-			}
+	select {
+	case s.jobs <- j:
+		return
+	default:
+	}
+	for {
+		n := s.workerN.Load()
+		if n >= s.workerCap {
+			break
+		}
+		if s.workerN.CompareAndSwap(n, n+1) {
+			s.workerWG.Add(1)
+			go s.worker()
+			break
 		}
 	}
 	s.jobs <- j
@@ -173,13 +177,7 @@ func (s *TCPServer) dispatch(j srvJob) {
 
 func (s *TCPServer) worker() {
 	defer s.workerWG.Done()
-	for {
-		s.workerIdle.Add(1)
-		j, ok := <-s.jobs
-		s.workerIdle.Add(-1)
-		if !ok {
-			return
-		}
+	for j := range s.jobs {
 		s.handle(j)
 	}
 }
@@ -206,35 +204,33 @@ func (s *TCPServer) handle(j srvJob) {
 		ctx, cancel = context.WithDeadline(ctx, time.Unix(0, j.req.DeadlineNs))
 		defer cancel()
 	}
-	if !j.decodedAt.IsZero() {
-		// Expose the dispatch-queue wait to the server's admission control;
-		// sub-100µs waits are noise and not worth the context allocation.
-		if wait := now.Sub(j.decodedAt); wait >= 100*time.Microsecond {
-			ctx = WithQueueWait(ctx, wait)
-		}
-	}
+	// The request record is the one value the handler context may carry, and
+	// only when the frame header says something: an unsampled request that
+	// wants no stage block and did not queue runs on the bare context.
+	var rec obs.Req
 	if j.req.TC.Sampled {
-		ctx = obs.WithTrace(ctx, j.req.TC)
+		rec.TraceContext = j.req.TC
 	}
-	var led *obs.Ledger
+	wait := now.Sub(j.decodedAt)
+	if wait >= 100*time.Microsecond {
+		// The admission controller's queueing-delay signal; shorter waits are
+		// noise and not worth the context allocation.
+		rec.QueueWait = wait
+	}
 	if j.req.WantStages {
-		led = obs.NewLedger()
-		if !j.decodedAt.IsZero() {
-			led.Add(obs.StageDispatch, now.Sub(j.decodedAt))
-		}
-		ctx = obs.WithStageLedger(ctx, led)
+		rec.Ledger = obs.NewLedger()
+		rec.Ledger.Add(obs.StageDispatch, wait)
 	}
+	ctx = obs.WithReq(ctx, rec)
 	payload, err := s.h.Serve(ctx, j.req.Payload)
 	if err != nil {
 		resp.Err = err.Error()
 	} else {
 		resp.Payload = payload
 	}
-	if led != nil {
+	if led := rec.Ledger; led != nil {
 		resp.StageIDs, resp.StageNs = led.Deltas()
-		if !j.decodedAt.IsZero() {
-			resp.ServeNs = int64(time.Since(j.decodedAt))
-		}
+		resp.ServeNs = int64(time.Since(j.decodedAt))
 		s.stages.Fold(led, time.Duration(resp.ServeNs), j.req.TC.TraceID)
 		led.Release()
 	}
@@ -540,17 +536,17 @@ func (c *TCPClient) Call(ctx context.Context, addr string, req any) (any, error)
 		return nil, err
 	}
 	id := tc.nextID.Add(1)
-	trace, _ := obs.TraceFrom(ctx)
-	// Stage accounting is fully opt-in per call: without a ledger in ctx
-	// this path takes zero extra clock reads and allocations.
-	led := obs.StageLedgerFrom(ctx)
+	// Stage accounting is fully opt-in per call: without a ledger in the
+	// request record this path takes zero extra clock reads and allocations.
+	rec := obs.ReqFrom(ctx)
+	led := rec.Ledger
 	var start time.Time
 	if led != nil {
 		start = time.Now()
 	}
 	// Encode the frame here, concurrently with other callers. A request that
 	// cannot be encoded fails alone, before anything is registered or queued.
-	bufp, err := encodeRequest(id, trace, led != nil, deadlineNs, req, c.m)
+	bufp, err := encodeRequest(id, rec.TraceContext, led != nil, deadlineNs, req, c.m)
 	if err != nil {
 		return nil, fmt.Errorf("transport: encode %T request: %w", req, err)
 	}

@@ -218,19 +218,3 @@ func TestFrameDeadlineRoundTrip(t *testing.T) {
 		t.Fatalf("deadline = %d, want 0", req.DeadlineNs)
 	}
 }
-
-// TestQueueWaitContext covers the decode→dispatch queue-wait plumbing the
-// admission controller reads.
-func TestQueueWaitContext(t *testing.T) {
-	ctx := context.Background()
-	if QueueWaitFrom(ctx) != 0 {
-		t.Fatal("fresh context reports queue wait")
-	}
-	if WithQueueWait(ctx, 0) != ctx || WithQueueWait(ctx, -time.Second) != ctx {
-		t.Fatal("non-positive waits must not allocate")
-	}
-	ctx2 := WithQueueWait(ctx, 3*time.Millisecond)
-	if QueueWaitFrom(ctx2) != 3*time.Millisecond {
-		t.Fatalf("QueueWaitFrom = %v, want 3ms", QueueWaitFrom(ctx2))
-	}
-}

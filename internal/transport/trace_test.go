@@ -13,8 +13,7 @@ import (
 func TestTCPTracePropagation(t *testing.T) {
 	got := make(chan obs.TraceContext, 1)
 	handler := HandlerFunc(func(ctx context.Context, req any) (any, error) {
-		tc, _ := obs.TraceFrom(ctx)
-		got <- tc
+		got <- obs.ReqFrom(ctx).TraceContext
 		return echoResp{Msg: "ok"}, nil
 	})
 	srv, err := NewTCPServer("127.0.0.1:0", handler)
@@ -26,7 +25,7 @@ func TestTCPTracePropagation(t *testing.T) {
 	defer cli.Close()
 
 	want := obs.TraceContext{TraceID: 0xabc123, SpanID: 0x42, Sampled: true}
-	ctx := obs.WithTrace(context.Background(), want)
+	ctx := obs.WithReq(context.Background(), obs.Req{TraceContext: want})
 	if _, err := cli.Call(ctx, srv.Addr(), echoReq{Msg: "traced"}); err != nil {
 		t.Fatal(err)
 	}
@@ -48,13 +47,12 @@ func TestBusTracePropagation(t *testing.T) {
 	got := make(chan obs.TraceContext, 1)
 	b := NewBus(LatencyModel{}, 1)
 	b.Register("s1", HandlerFunc(func(ctx context.Context, req any) (any, error) {
-		tc, _ := obs.TraceFrom(ctx)
-		got <- tc
+		got <- obs.ReqFrom(ctx).TraceContext
 		return echoResp{}, nil
 	}))
 	defer b.Close()
 	want := obs.TraceContext{TraceID: 7, SpanID: 9, Sampled: true}
-	if _, err := b.Call(obs.WithTrace(context.Background(), want), "s1", echoReq{}); err != nil {
+	if _, err := b.Call(obs.WithReq(context.Background(), obs.Req{TraceContext: want}), "s1", echoReq{}); err != nil {
 		t.Fatal(err)
 	}
 	if tc := <-got; tc != want {

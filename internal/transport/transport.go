@@ -40,27 +40,6 @@ var (
 	ErrDeadlineExceeded = errors.New("transport: deadline exceeded")
 )
 
-// queueWaitKey carries how long a request sat between decode and dispatch,
-// so the server's admission controller can shed on queueing delay. It is a
-// context value rather than a field because the Handler interface is
-// payload-agnostic.
-type queueWaitKey struct{}
-
-// WithQueueWait annotates ctx with the request's observed queueing delay.
-func WithQueueWait(ctx context.Context, d time.Duration) context.Context {
-	if d <= 0 {
-		return ctx
-	}
-	return context.WithValue(ctx, queueWaitKey{}, d)
-}
-
-// QueueWaitFrom reports how long the request waited for a worker before
-// dispatch; zero when the transport didn't measure (Bus calls run inline).
-func QueueWaitFrom(ctx context.Context) time.Duration {
-	d, _ := ctx.Value(queueWaitKey{}).(time.Duration)
-	return d
-}
-
 // Handler serves one request and returns one response.
 type Handler interface {
 	Serve(ctx context.Context, req any) (any, error)
