@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race check cover nogob onecarrier audit stress overload crash bench benchquick benchcmp benchall
+.PHONY: all build vet test race check cover nogob onecarrier audit stress overload crash overhead benchall
 
 all: check
 
@@ -31,10 +31,10 @@ cover:
 		{ echo "coverage $$total% below floor $(COVER_MIN)%"; exit 1; }
 
 # nogob keeps the TCP transport at one wire format: encoding/gob may appear in
-# tests (as the codec's independent oracle) and in cmd/bench (as a baseline
-# row), but nothing that ships — internal/, semeld, milctl, loadgen — may
-# import it. go list's .Imports leaves test-only imports out.
-NOGOB_PKGS = ./internal/... ./cmd/semeld ./cmd/milctl ./cmd/loadgen
+# tests (as the codec's independent oracle), but nothing that ships — any
+# package under internal/ or cmd/ — may import it. go list's .Imports leaves
+# test-only imports out.
+NOGOB_PKGS = ./internal/... ./cmd/...
 nogob:
 	@bad=$$($(GO) list -f '{{.ImportPath}}: {{join .Imports " "}}' $(NOGOB_PKGS) | grep -w 'encoding/gob' | cut -d: -f1); \
 	if [ -n "$$bad" ]; then echo "nogob: encoding/gob imported outside tests by:"; echo "$$bad"; exit 1; fi; \
@@ -107,33 +107,17 @@ crash:
 	CHAOS_SEED=$(CHAOS_SEED) CHAOS_ROUNDS=2 \
 		$(GO) test -race -timeout 30m -run 'TestDurabilityColdRestart|TestStressWALFsyncMutationConvicted|TestReplicateDataDupAfterRecoveryIdempotent|TestStressKillChaos' -v ./internal/core/
 
-# bench runs the write/read-path perf scenarios plus the codec
-# microbenchmarks and records the trajectory (ops/sec + p50/p95 from the obs
-# histograms, allocs/op for the micros) in BENCH_9.json. Compare against the
-# previous trajectory with `make benchcmp`.
-bench:
-	$(GO) run ./cmd/bench -out BENCH_9.json
-
-# benchquick is the short iteration loop: 1s per scenario, put/multiget TCP
-# scenarios only (the ones the wire codec moves), result left in /tmp so the
-# checked-in trajectory files stay stable. It also runs the three overhead
-# gates: the per-txn stage ledger plus a live tsdb sampler must cost < 3%
-# of bus transaction throughput versus a fully disabled cluster, the WAL's
-# log-before-ack path must keep at least 20% of the WAL-off transaction
-# throughput, and the idle resilience layer (admission + breakers + retry
-# budget + hedging) must account to < 2% of a bus transaction.
-benchquick:
-	$(GO) run ./cmd/bench -dur 1s -only put/,multiget/ -out /tmp/benchquick.json
+# overhead runs the three wall-clock overhead gates: the per-txn stage ledger
+# plus a live tsdb sampler must cost < 3% of bus transaction throughput
+# versus a fully disabled cluster, the WAL's log-before-ack path must keep at
+# least 20% of the WAL-off transaction throughput, and the idle resilience
+# layer (admission + breakers + retry budget + hedging) must account to < 2%
+# of a bus transaction. The repository benchmark (bash benchmark/run.sh, see
+# BENCHMARK.json) is the instrument for end-to-end performance.
+overhead:
 	OBS_OVERHEAD_GATE=1 $(GO) test -count=1 -run TestStageOverheadGate -v ./internal/core/
 	WAL_OVERHEAD_GATE=1 $(GO) test -count=1 -run TestWALOverheadGate -v ./internal/core/
 	RESILIENCE_OVERHEAD_GATE=1 $(GO) test -count=1 -run TestResilienceOverheadGate -v ./internal/core/
-
-# benchcmp prints a benchstat-style before/after table between the last two
-# recorded trajectories.
-OLD_BENCH ?= BENCH_7.json
-NEW_BENCH ?= BENCH_9.json
-benchcmp:
-	$(GO) run ./cmd/bench/compare $(OLD_BENCH) $(NEW_BENCH)
 
 # benchall runs every go test benchmark (paper tables/figures + micro).
 benchall:

@@ -14,20 +14,15 @@ package repro
 import (
 	"context"
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/clock"
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/exp"
 	"repro/internal/flash"
 	"repro/internal/milana"
 	"repro/internal/mvftl"
-	"repro/internal/semel"
-	"repro/internal/storage"
-	"repro/internal/transport"
 )
 
 // benchConfig scales experiments down to benchmark-friendly durations while
@@ -341,166 +336,3 @@ func BenchmarkSemelPut(b *testing.B) {
 		}
 	}
 }
-
-// benchLateHandler lets a TCP listener start before the server behind it
-// exists: replica addresses must be known before semel.NewServer runs, but
-// ports are allocated by the OS at listen time.
-type benchLateHandler struct {
-	mu sync.RWMutex
-	h  transport.Handler
-}
-
-func (l *benchLateHandler) set(h transport.Handler) {
-	l.mu.Lock()
-	l.h = h
-	l.mu.Unlock()
-}
-
-func (l *benchLateHandler) Serve(ctx context.Context, req any) (any, error) {
-	l.mu.RLock()
-	h := l.h
-	l.mu.RUnlock()
-	if h == nil {
-		return nil, fmt.Errorf("bench: server not ready")
-	}
-	return h.Serve(ctx, req)
-}
-
-// benchmarkTCPPut measures the replicated put path over real loopback TCP
-// (3 replicas, DRAM) at 64 concurrent clients — the transport where
-// replication batching pays, because every message costs encoding and
-// syscalls. See cmd/bench for the standalone version with latency
-// percentiles.
-func benchmarkTCPPut(b *testing.B, disableBatch bool) {
-	const replicas = 3
-	handlers := make([]*benchLateHandler, replicas)
-	tcpSrvs := make([]*transport.TCPServer, replicas)
-	addrs := make([]string, replicas)
-	for i := range handlers {
-		handlers[i] = &benchLateHandler{}
-		srv, err := transport.NewTCPServer("127.0.0.1:0", handlers[i])
-		if err != nil {
-			b.Fatal(err)
-		}
-		tcpSrvs[i] = srv
-		addrs[i] = srv.Addr()
-	}
-	dir, err := cluster.New([]cluster.ReplicaSet{{Primary: addrs[0], Backups: addrs[1:]}})
-	if err != nil {
-		b.Fatal(err)
-	}
-	source := clock.NewSystemSource()
-	servers := make([]*semel.Server, replicas)
-	nets := make([]*transport.TCPClient, replicas)
-	for i := range servers {
-		nets[i] = transport.NewTCPClient()
-		srv, err := semel.NewServer(semel.ServerOptions{
-			Addr:                addrs[i],
-			Shard:               0,
-			Primary:             i == 0,
-			Backend:             storage.NewDRAM(),
-			Net:                 nets[i],
-			Dir:                 dir,
-			Clock:               clock.NewPerfect(source, uint32(1<<20+i)),
-			LeaseDuration:       -1,
-			AntiEntropyInterval: -1,
-			ReplBatch:           semel.BatchOptions{Disabled: disableBatch},
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		servers[i] = srv
-		handlers[i].set(srv)
-	}
-	cliNet := transport.NewTCPClient()
-	defer func() {
-		for _, s := range servers {
-			s.Close()
-		}
-		for _, s := range tcpSrvs {
-			s.Close()
-		}
-		for _, n := range nets {
-			n.Close()
-		}
-		cliNet.Close()
-	}()
-	var id uint32
-	var idMu sync.Mutex
-	val := make([]byte, 64)
-	b.SetParallelism(64)
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		idMu.Lock()
-		id++
-		w := id
-		idMu.Unlock()
-		cl := semel.NewClient(clock.NewPerfect(source, 100+w), cliNet, dir)
-		ctx := context.Background()
-		for i := 0; pb.Next(); i++ {
-			key := []byte(fmt.Sprintf("c%d-k%d", w, i%256))
-			if _, err := cl.Put(ctx, key, val); err != nil {
-				b.Error(err)
-				return
-			}
-		}
-	})
-}
-
-// BenchmarkSemelPutTCPUnbatched is the before: one replication RPC per
-// put, so each put costs six loopback messages.
-func BenchmarkSemelPutTCPUnbatched(b *testing.B) { benchmarkTCPPut(b, true) }
-
-// BenchmarkSemelPutTCPBatched is the after: the primary's group-commit
-// batcher coalesces concurrent writers' replication traffic, approaching
-// two messages per put under load.
-func BenchmarkSemelPutTCPBatched(b *testing.B) { benchmarkTCPPut(b, false) }
-
-// benchmarkMultiGet measures a 16-key snapshot read against MFTL with real
-// flash read sleeps, where the parallel key fan-out overlaps independent
-// page reads across the device's channels.
-func benchmarkMultiGet(b *testing.B, serialReads bool) {
-	c, err := core.NewCluster(core.ClusterOptions{
-		Shards:          1,
-		Replicas:        1,
-		Backend:         core.BackendMFTL,
-		Geometry:        flash.Geometry{Channels: 8, BlocksPerChannel: 64, PagesPerBlock: 32, PageSize: 4096},
-		RealFlashTiming: true,
-		LeaseDuration:   -1,
-		SerialReads:     serialReads,
-		Seed:            7,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer c.Close()
-	const keys = 1024
-	const perCall = 16
-	setup := c.NewSemelClient(99)
-	ctx := context.Background()
-	val := make([]byte, 64)
-	for i := 0; i < keys; i++ {
-		if _, err := setup.Put(ctx, []byte(fmt.Sprintf("k%d", i)), val); err != nil {
-			b.Fatal(err)
-		}
-	}
-	cl := c.NewSemelClient(1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		batch := make([][]byte, perCall)
-		for j := range batch {
-			batch[j] = []byte(fmt.Sprintf("k%d", (i*perCall+j*61)%keys))
-		}
-		if _, err := cl.MultiGet(ctx, batch); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkMultiGetSerial is the before: the server reads the 16 keys one
-// after another, so device sleeps accumulate.
-func BenchmarkMultiGetSerial(b *testing.B) { benchmarkMultiGet(b, true) }
-
-// BenchmarkMultiGetParallel is the after: per-key goroutine fan-out lets
-// reads on different flash channels overlap.
-func BenchmarkMultiGetParallel(b *testing.B) { benchmarkMultiGet(b, false) }

@@ -74,13 +74,6 @@ type ClusterOptions struct {
 	// AntiEntropyInterval is the backup catch-up pull period
 	// (0 = 1 s, <0 = off).
 	AntiEntropyInterval time.Duration
-	// ReplBatch configures the primaries' replication batcher (group
-	// commit); the zero value batches with defaults, ReplBatch.Disabled
-	// restores one replication RPC per write.
-	ReplBatch semel.BatchOptions
-	// SerialReads disables the servers' parallel MultiGet key fan-out
-	// (benchmark baseline).
-	SerialReads bool
 	// SkewServers disciplines *server* clocks with ClockProfile too
 	// (default: servers run perfect clocks, as in the paper's single-VM
 	// setup). Skewed server clocks make cross-node trace spans misalign by
@@ -329,8 +322,6 @@ func (c *Cluster) startServer(addr string, slot *replicaSlot, primary bool) erro
 		LeaseDuration:        c.opt.LeaseDuration,
 		PreparedTimeout:      c.opt.PreparedTimeout,
 		AntiEntropyInterval:  c.opt.AntiEntropyInterval,
-		ReplBatch:            c.opt.ReplBatch,
-		SerialReads:          c.opt.SerialReads,
 		SkewWindow:           slot.skewWindow,
 		SlowRequestThreshold: c.opt.SlowRequestThreshold,
 		Auditor:              c.auditor,

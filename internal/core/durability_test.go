@@ -554,7 +554,7 @@ func TestReplicateDataDupAfterRecoveryIdempotent(t *testing.T) {
 	}
 }
 
-// TestWALOverheadGate is the durability-cost gate behind `make benchquick`
+// TestWALOverheadGate is the durability-cost gate behind `make overhead`
 // (WAL_OVERHEAD_GATE=1): committed-transaction throughput with a
 // group-commit WAL fsyncing on every ack must stay above a floor fraction
 // of the WAL-off cluster. The floor is deliberately lenient — real fsyncs
@@ -562,7 +562,7 @@ func TestReplicateDataDupAfterRecoveryIdempotent(t *testing.T) {
 // per record, or a serialized log path) falls far below it.
 func TestWALOverheadGate(t *testing.T) {
 	if os.Getenv("WAL_OVERHEAD_GATE") == "" {
-		t.Skip("set WAL_OVERHEAD_GATE=1 to run the WAL overhead gate")
+		t.Skip("set WAL_OVERHEAD_GATE=1 (make overhead does) to run the WAL overhead gate")
 	}
 	const (
 		workers = 8

@@ -547,7 +547,7 @@ type gateNet struct{}
 
 func (gateNet) Call(ctx context.Context, addr string, req any) (any, error) { return "ok", nil }
 
-// TestResilienceOverheadGate is the make-benchquick gate for the idle-path
+// TestResilienceOverheadGate is the make-overhead gate for the idle-path
 // cost of the whole resilience layer (admission on every server, breakers +
 // retry budget + hedging on every client): < 2% of a bus read-modify-write
 // transaction. Opt-in via RESILIENCE_OVERHEAD_GATE, same reasoning as the
@@ -563,7 +563,7 @@ func (gateNet) Call(ctx context.Context, addr string, req any) (any, error) { re
 // would miss (an accidental goroutine or lock convoy per operation).
 func TestResilienceOverheadGate(t *testing.T) {
 	if os.Getenv("RESILIENCE_OVERHEAD_GATE") == "" {
-		t.Skip("set RESILIENCE_OVERHEAD_GATE=1 (make benchquick does) to run the overhead gate")
+		t.Skip("set RESILIENCE_OVERHEAD_GATE=1 (make overhead does) to run the overhead gate")
 	}
 	ctx := context.Background()
 	const accountedBudget = 0.02

@@ -198,14 +198,14 @@ func TestWatchdogConviction(t *testing.T) {
 	}
 }
 
-// TestStageOverheadGate is the make-benchquick regression gate: the stage
+// TestStageOverheadGate is the make-overhead regression gate: the stage
 // ledger plus a live tsdb sampler must cost < 3%% of bus transaction
 // throughput versus a fully disabled cluster. Opt-in via OBS_OVERHEAD_GATE
 // because a wall-clock throughput comparison has no place in default CI
 // runs (-race, shared runners).
 func TestStageOverheadGate(t *testing.T) {
 	if os.Getenv("OBS_OVERHEAD_GATE") == "" {
-		t.Skip("set OBS_OVERHEAD_GATE=1 (make benchquick does) to run the overhead gate")
+		t.Skip("set OBS_OVERHEAD_GATE=1 (make overhead does) to run the overhead gate")
 	}
 	ctx := context.Background()
 	const txns = 4000

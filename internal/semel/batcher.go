@@ -16,43 +16,23 @@ import (
 // replication when the server shut down.
 var ErrServerClosed = errors.New("semel: server closed")
 
-// BatchOptions configures the primary's replication batcher: the group-commit
-// stage that coalesces per-write ReplicateData envelopes into batches before
-// fanning them out to backups. The zero value enables batching with the
-// defaults below; set Disabled to keep the one-RPC-per-write path.
-type BatchOptions struct {
-	// Disabled turns batching off: every write replicates in its own RPC,
-	// as before.
-	Disabled bool
-	// MaxOps flushes a batch when it holds this many ops. 0 means 64.
-	MaxOps int
-	// MaxBytes flushes a batch when its keys+values reach this many bytes.
-	// 0 means 256 KiB.
-	MaxBytes int
-	// Linger is how long a flush loop waits for batchmates after the first
-	// op arrives. 0 means no artificial delay: a loop drains whatever is
-	// already queued and flushes immediately — batches then form naturally
-	// whenever flushes are slower than arrivals (group commit), and an
-	// idle server keeps single-put latency untouched.
-	Linger time.Duration
-	// Workers caps how many flushes may be in flight at once. While every
-	// slot is busy the collector keeps absorbing arrivals into the next
-	// batch, so saturation grows batches instead of queueing ops — and an
-	// idle server dispatches immediately, adding no latency. 0 means 4.
-	Workers int
-}
+// The batcher's limits. A batch ships once it holds batchMaxOps ops or
+// batchMaxBytes of keys+values, or as soon as the queue runs dry and a flush
+// slot is free; at most batchWorkers flushes are in flight. There is no
+// linger timer: while every slot is busy the collector keeps absorbing
+// arrivals into the next batch, so saturation grows batches instead of
+// queueing ops (group commit), and an idle server dispatches immediately,
+// adding no latency to a single put.
+const (
+	batchMaxOps   = 64
+	batchMaxBytes = 256 << 10
+	batchWorkers  = 4
+)
 
-func (o BatchOptions) withDefaults() BatchOptions {
-	if o.MaxOps <= 0 {
-		o.MaxOps = 64
-	}
-	if o.MaxBytes <= 0 {
-		o.MaxBytes = 256 << 10
-	}
-	if o.Workers <= 0 {
-		o.Workers = 4
-	}
-	return o
+// batchLimits carries the limits into a batcher; production always passes
+// the constants above.
+type batchLimits struct {
+	maxOps, maxBytes, workers int
 }
 
 // pendingOp is one enqueued write awaiting its replication quorum.
@@ -78,13 +58,13 @@ func (p *pendingOp) noteFlush() {
 }
 
 // batcher is the primary's replication pipeline (group commit, §3.2 traffic).
-// Writers enqueue DataOps; Workers flush loops pull batches and fan each out
-// to the backups as a single Replicated{ReplicateData{Ops}} envelope. Acks
+// Writers enqueue DataOps; up to workers flushes fan batches out to the
+// backups, each as a single Replicated{ReplicateData{Ops}} envelope. Acks
 // are demultiplexed per op: each writer still observes its own f-of-2f
 // quorum, so a batch is a transport optimization, not a coarser commit unit.
 type batcher struct {
 	s   *Server
-	opt BatchOptions
+	lim batchLimits
 
 	ch       chan pendingOp
 	sem      chan struct{} // in-flight flush slots
@@ -93,26 +73,23 @@ type batcher struct {
 	wg       sync.WaitGroup
 
 	// metrics
-	batchOps    *obs.Histogram // ops per flushed batch
-	flushSize   *obs.Counter   // flush reasons
-	flushBytes  *obs.Counter
-	flushLinger *obs.Counter
-	flushDrain  *obs.Counter
+	batchOps   *obs.Histogram // ops per flushed batch
+	flushSize  *obs.Counter   // flush reasons
+	flushBytes *obs.Counter
+	flushDrain *obs.Counter
 }
 
-func newBatcher(s *Server, opt BatchOptions) *batcher {
-	opt = opt.withDefaults()
+func newBatcher(s *Server, lim batchLimits) *batcher {
 	b := &batcher{
-		s:           s,
-		opt:         opt,
-		ch:          make(chan pendingOp, 4*opt.MaxOps),
-		sem:         make(chan struct{}, opt.Workers),
-		stop:        make(chan struct{}),
-		batchOps:    s.reg.Histogram("semel_repl_batch_ops"),
-		flushSize:   s.reg.Counter(`semel_repl_flush_total{reason="size"}`),
-		flushBytes:  s.reg.Counter(`semel_repl_flush_total{reason="bytes"}`),
-		flushLinger: s.reg.Counter(`semel_repl_flush_total{reason="linger"}`),
-		flushDrain:  s.reg.Counter(`semel_repl_flush_total{reason="drain"}`),
+		s:          s,
+		lim:        lim,
+		ch:         make(chan pendingOp, 4*lim.maxOps),
+		sem:        make(chan struct{}, lim.workers),
+		stop:       make(chan struct{}),
+		batchOps:   s.reg.Histogram("semel_repl_batch_ops"),
+		flushSize:  s.reg.Counter(`semel_repl_flush_total{reason="size"}`),
+		flushBytes: s.reg.Counter(`semel_repl_flush_total{reason="bytes"}`),
+		flushDrain: s.reg.Counter(`semel_repl_flush_total{reason="drain"}`),
 	}
 	b.wg.Add(1)
 	go b.run()
@@ -155,8 +132,8 @@ func (b *batcher) replicate(ctx context.Context, op wire.DataOp) error {
 	select {
 	case err := <-p.ack:
 		if led != nil {
-			// Everything up to dispatch was batch formation (group-commit
-			// linger + queueing); the rest was the backups' quorum.
+			// Everything up to dispatch was batch formation (queueing while
+			// the flush slots were busy); the rest was the backups' quorum.
 			total := int64(time.Since(p.enq))
 			batchNs := p.flushedAt.Load()
 			led.AddNs(obs.StageReplBatch, batchNs)
@@ -171,7 +148,7 @@ func (b *batcher) replicate(ctx context.Context, op wire.DataOp) error {
 }
 
 // run is the collector loop: it assembles batches and dispatches each to its
-// own flush goroutine, at most Workers in flight. While every flush slot is
+// own flush goroutine, at most workers in flight. While every flush slot is
 // busy the current batch keeps absorbing arrivals — saturation makes batches
 // bigger rather than ops wait in line, and with free slots a batch dispatches
 // the moment fill returns.
@@ -191,7 +168,7 @@ func (b *batcher) run() {
 		}
 	acquire:
 		for {
-			if len(batch) >= b.opt.MaxOps || bytes >= b.opt.MaxBytes {
+			if len(batch) >= b.lim.maxOps || bytes >= b.lim.maxBytes {
 				select {
 				case b.sem <- struct{}{}:
 					break acquire
@@ -227,42 +204,22 @@ func (b *batcher) fail(batch []pendingOp, err error) {
 	}
 }
 
-// fill grows a batch from its first op until a flush trigger fires: MaxOps,
-// MaxBytes, the linger timer, or (with no linger) the queue running dry.
+// fill grows a batch from its first op with whatever is already queued, until
+// it reaches maxOps or maxBytes or the queue runs dry.
 func (b *batcher) fill(first pendingOp) []pendingOp {
 	batch := []pendingOp{first}
 	bytes := opBytes(first.op)
-	var lingerC <-chan time.Time
-	if b.opt.Linger > 0 {
-		t := time.NewTimer(b.opt.Linger)
-		defer t.Stop()
-		lingerC = t.C
-	}
-	for len(batch) < b.opt.MaxOps && bytes < b.opt.MaxBytes {
-		if lingerC != nil {
-			select {
-			case p := <-b.ch:
-				batch = append(batch, p)
-				bytes += opBytes(p.op)
-			case <-lingerC:
-				b.flushLinger.Inc()
-				return batch
-			case <-b.stop:
-				b.flushDrain.Inc()
-				return batch
-			}
-		} else {
-			select {
-			case p := <-b.ch:
-				batch = append(batch, p)
-				bytes += opBytes(p.op)
-			default:
-				b.flushDrain.Inc()
-				return batch
-			}
+	for len(batch) < b.lim.maxOps && bytes < b.lim.maxBytes {
+		select {
+		case p := <-b.ch:
+			batch = append(batch, p)
+			bytes += opBytes(p.op)
+		default:
+			b.flushDrain.Inc()
+			return batch
 		}
 	}
-	if len(batch) >= b.opt.MaxOps {
+	if len(batch) >= b.lim.maxOps {
 		b.flushSize.Inc()
 	} else {
 		b.flushBytes.Inc()
@@ -331,17 +288,16 @@ func (b *batcher) flush(batch []pendingOp) {
 				results <- peerResult{err: err}
 				return
 			}
-			if ba, ok := resp.(wire.BatchAck); ok {
-				if ba.Errs != nil && len(ba.Errs) != len(ops) {
-					// Malformed ack: treat the whole peer as failed.
-					results <- peerResult{err: fmt.Errorf("semel: short batch ack (%d/%d)", len(ba.Errs), len(ops))}
-					return
-				}
+			// Anything but a well-formed BatchAck fails the whole peer.
+			ba, ok := resp.(wire.BatchAck)
+			switch {
+			case !ok:
+				results <- peerResult{err: fmt.Errorf("semel: replicate answered %T, want BatchAck", resp)}
+			case ba.Errs != nil && len(ba.Errs) != len(ops):
+				results <- peerResult{err: fmt.Errorf("semel: short batch ack (%d/%d)", len(ba.Errs), len(ops))}
+			default:
 				results <- peerResult{errs: ba.Errs}
-				return
 			}
-			// Plain Ack (or anything else without per-op detail): all applied.
-			results <- peerResult{}
 		}(p)
 	}
 	succ := make([]int, len(batch))

@@ -3,6 +3,8 @@ package semel
 import (
 	"context"
 	"fmt"
+	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -15,16 +17,29 @@ import (
 	"repro/internal/wire"
 )
 
+// plugKey names the op whose delivery batchNet holds until unplug closes.
+const plugKey = "plug"
+
 // batchNet is a fake transport that records every ReplicateData batch per
-// peer and answers with a configurable response.
+// peer and answers with a configurable response. A batch whose first op is
+// keyed plugKey blocks at every peer until unplug is closed, holding the
+// flush slot it ships from.
 type batchNet struct {
 	mu      sync.Mutex
 	batches map[string][]wire.ReplicateData
 	respond func(peer string, rd wire.ReplicateData) (any, error)
+
+	plugged chan struct{} // one signal per peer the plug batch reached
+	unplug  chan struct{}
 }
 
 func newBatchNet(respond func(peer string, rd wire.ReplicateData) (any, error)) *batchNet {
-	return &batchNet{batches: make(map[string][]wire.ReplicateData), respond: respond}
+	return &batchNet{
+		batches: make(map[string][]wire.ReplicateData),
+		respond: respond,
+		plugged: make(chan struct{}, 2),
+		unplug:  make(chan struct{}),
+	}
 }
 
 func (n *batchNet) Call(_ context.Context, addr string, req any) (any, error) {
@@ -39,6 +54,10 @@ func (n *batchNet) Call(_ context.Context, addr string, req any) (any, error) {
 	n.mu.Lock()
 	n.batches[addr] = append(n.batches[addr], rd)
 	n.mu.Unlock()
+	if len(rd.Ops) > 0 && string(rd.Ops[0].Key) == plugKey {
+		n.plugged <- struct{}{}
+		<-n.unplug
+	}
 	return n.respond(addr, rd)
 }
 
@@ -52,11 +71,33 @@ func (n *batchNet) batchSizes(peer string) []int {
 	return sizes
 }
 
+// waitBatchSizes waits until peer has received batches of exactly the given
+// sizes, in any order. f = 1: a flush frees its slot on the first backup's
+// ack, so the next batch can overtake the delivery to the other one.
+func (n *batchNet) waitBatchSizes(t *testing.T, peer string, want []int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for len(n.batchSizes(peer)) < len(want) && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	got := n.batchSizes(peer)
+	sort.Ints(got)
+	want = append([]int(nil), want...)
+	sort.Ints(want)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("peer %s: batch sizes %v, want %v", peer, got, want)
+	}
+}
+
 var _ transport.Client = (*batchNet)(nil)
+
+// oneSlot is production's limits with a single flush slot, so one held
+// flush saturates the batcher.
+var oneSlot = batchLimits{maxOps: batchMaxOps, maxBytes: batchMaxBytes, workers: 1}
 
 // newTestBatcher wires a batcher to a bare primary of a 3-replica shard
 // (f=1: one backup ack suffices) without starting server loops.
-func newTestBatcher(t *testing.T, net transport.Client, opt BatchOptions) *batcher {
+func newTestBatcher(t *testing.T, net transport.Client, lim batchLimits) *batcher {
 	t.Helper()
 	dir, err := cluster.New([]cluster.ReplicaSet{{Primary: "p", Backups: []string{"b1", "b2"}}})
 	if err != nil {
@@ -66,7 +107,7 @@ func newTestBatcher(t *testing.T, net transport.Client, opt BatchOptions) *batch
 		opt: ServerOptions{Addr: "p", Shard: 0, Dir: dir, Net: net},
 		reg: obs.NewRegistry(),
 	}
-	b := newBatcher(s, opt)
+	b := newBatcher(s, lim)
 	t.Cleanup(b.close)
 	return b
 }
@@ -75,76 +116,66 @@ func dataOp(key string, ticks int64) wire.DataOp {
 	return wire.DataOp{Key: []byte(key), Val: []byte("v"), Version: clock.Timestamp{Ticks: ticks, Client: 1}}
 }
 
-func TestBatcherFlushOnSize(t *testing.T) {
-	net := newBatchNet(func(string, wire.ReplicateData) (any, error) { return wire.BatchAck{}, nil })
-	// Linger is effectively infinite, so only the size threshold can fire.
-	b := newTestBatcher(t, net, BatchOptions{MaxOps: 4, Linger: time.Hour, Workers: 1})
-
-	var wg sync.WaitGroup
-	errs := make([]error, 4)
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = b.replicate(context.Background(), dataOp(fmt.Sprintf("k%d", i), int64(i+1)))
-		}(i)
+// behindPlug batches ops the way production does under load: group commit
+// by saturation. A one-op plug batch takes the batcher's only flush slot and
+// is held at the transport; ops are then queued until the collector holds
+// every one it will take (leftover stay queued), and the plug is released.
+// It returns each op's replication outcome.
+func behindPlug(t *testing.T, b *batcher, net *batchNet, ops []wire.DataOp, leftover int) []error {
+	t.Helper()
+	plug := make(chan error, 1)
+	go func() { plug <- b.replicate(context.Background(), dataOp(plugKey, 1<<40)) }()
+	select {
+	case <-net.plugged:
+	case <-time.After(5 * time.Second):
+		t.Fatal("plug batch never shipped")
 	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("op %d: %v", i, err)
+	acks := make([]chan error, len(ops))
+	for i, op := range ops {
+		acks[i] = make(chan error, 1)
+		b.ch <- pendingOp{op: op, ack: acks[i]}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for len(b.ch) > leftover {
+		if time.Now().After(deadline) {
+			t.Fatalf("collector left %d ops queued, want %d", len(b.ch), leftover)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(net.unplug)
+	if err := <-plug; err != nil {
+		t.Fatalf("plug op: %v", err)
+	}
+	errs := make([]error, len(ops))
+	for i, ack := range acks {
+		select {
+		case errs[i] = <-ack:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("op %d never resolved", i)
 		}
 	}
-	// f = 1: the writers return on the first backup's ack, so the delivery
-	// to the other one may still be in flight; give it a moment.
-	for _, peer := range []string{"b1", "b2"} {
-		deadline := time.Now().Add(5 * time.Second)
-		for len(net.batchSizes(peer)) == 0 && time.Now().Before(deadline) {
-			time.Sleep(time.Millisecond)
-		}
-		sizes := net.batchSizes(peer)
-		if len(sizes) != 1 || sizes[0] != 4 {
-			t.Fatalf("peer %s: want one batch of 4 ops, got %v", peer, sizes)
-		}
-	}
-	if got := b.flushSize.Value(); got != 1 {
-		t.Fatalf("flush-on-size counter = %d, want 1", got)
-	}
+	return errs
 }
 
-func TestBatcherFlushOnTimeout(t *testing.T) {
+func TestBatcherFlushOnSize(t *testing.T) {
 	net := newBatchNet(func(string, wire.ReplicateData) (any, error) { return wire.BatchAck{}, nil })
-	// MaxOps is far above what we enqueue, so only the linger timer fires.
-	b := newTestBatcher(t, net, BatchOptions{MaxOps: 100, Linger: 20 * time.Millisecond, Workers: 1})
+	lim := oneSlot
+	lim.maxOps = 4
+	b := newTestBatcher(t, net, lim)
 
-	var wg sync.WaitGroup
-	errs := make([]error, 2)
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = b.replicate(context.Background(), dataOp(fmt.Sprintf("k%d", i), int64(i+1)))
-		}(i)
+	// Six ops queue behind the plug; the collector stops absorbing at
+	// maxOps, so one full batch of 4 ships and the other 2 follow.
+	ops := make([]wire.DataOp, 6)
+	for i := range ops {
+		ops[i] = dataOp(fmt.Sprintf("k%d", i), int64(i+1))
 	}
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("replicate calls did not return; linger flush never fired")
-	}
-	for i, err := range errs {
+	for i, err := range behindPlug(t, b, net, ops, 2) {
 		if err != nil {
 			t.Fatalf("op %d: %v", i, err)
 		}
 	}
-	if got := b.flushLinger.Value(); got < 1 {
-		t.Fatalf("flush-on-linger counter = %d, want >= 1", got)
-	}
-	// f = 1: the ops are acknowledged as soon as either backup applied the
-	// batch, so the other peer's delivery may still be in flight here.
-	if len(net.batchSizes("b1"))+len(net.batchSizes("b2")) == 0 {
-		t.Fatal("no batch reached a backup")
+	for _, peer := range []string{"b1", "b2"} {
+		net.waitBatchSizes(t, peer, []int{1, 4, 2})
 	}
 }
 
@@ -160,19 +191,14 @@ func TestBatcherPerOpErrorDemux(t *testing.T) {
 		}
 		return wire.BatchAck{Errs: errs}, nil
 	})
-	b := newTestBatcher(t, net, BatchOptions{MaxOps: 3, Linger: time.Hour, Workers: 1})
+	b := newTestBatcher(t, net, oneSlot)
 
 	keys := []string{"good1", "bad", "good2"}
-	errs := make([]error, len(keys))
-	var wg sync.WaitGroup
+	ops := make([]wire.DataOp, len(keys))
 	for i, k := range keys {
-		wg.Add(1)
-		go func(i int, k string) {
-			defer wg.Done()
-			errs[i] = b.replicate(context.Background(), dataOp(k, int64(i+1)))
-		}(i, k)
+		ops[i] = dataOp(k, int64(i+1))
 	}
-	wg.Wait()
+	errs := behindPlug(t, b, net, ops, 0)
 	for i, k := range keys {
 		if k == "bad" {
 			if errs[i] == nil || !strings.Contains(errs[i].Error(), "boom") {
@@ -182,9 +208,7 @@ func TestBatcherPerOpErrorDemux(t *testing.T) {
 			t.Fatalf("op %q failed alongside its bad batchmate: %v", k, errs[i])
 		}
 	}
-	if sizes := net.batchSizes("b1"); len(sizes) != 1 || sizes[0] != 3 {
-		t.Fatalf("want the three ops coalesced into one batch, got %v", sizes)
-	}
+	net.waitBatchSizes(t, "b1", []int{1, 3})
 }
 
 func TestBatcherToleratesOnePeerFailure(t *testing.T) {
@@ -196,22 +220,25 @@ func TestBatcherToleratesOnePeerFailure(t *testing.T) {
 		}
 		return wire.BatchAck{}, nil
 	})
-	b := newTestBatcher(t, net, BatchOptions{MaxOps: 2, Linger: time.Hour, Workers: 1})
+	b := newTestBatcher(t, net, oneSlot)
 
-	errs := make([]error, 2)
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = b.replicate(context.Background(), dataOp(fmt.Sprintf("k%d", i), int64(i+1)))
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
+	ops := []wire.DataOp{dataOp("k0", 1), dataOp("k1", 2)}
+	for i, err := range behindPlug(t, b, net, ops, 0) {
 		if err != nil {
 			t.Fatalf("op %d: %v", i, err)
 		}
+	}
+	net.waitBatchSizes(t, "b2", []int{1, 2})
+}
+
+func TestBatcherNonBatchAckFailsPeer(t *testing.T) {
+	// A backup answering anything but a BatchAck counts as failed: with both
+	// backups doing so, no op can reach its quorum.
+	net := newBatchNet(func(string, wire.ReplicateData) (any, error) { return wire.Ack{}, nil })
+	b := newTestBatcher(t, net, oneSlot)
+	err := b.replicate(context.Background(), dataOp("k", 1))
+	if err == nil || !strings.Contains(err.Error(), "want BatchAck") {
+		t.Fatalf("replicate against Ack-only backups: %v", err)
 	}
 }
 
@@ -221,7 +248,7 @@ func TestBatcherCloseFailsPendingWrites(t *testing.T) {
 		<-release
 		return wire.BatchAck{}, nil
 	})
-	b := newTestBatcher(t, net, BatchOptions{MaxOps: 1, Workers: 1})
+	b := newTestBatcher(t, net, oneSlot)
 
 	errCh := make(chan error, 1)
 	go func() { errCh <- b.replicate(context.Background(), dataOp("k", 1)) }()

@@ -75,14 +75,6 @@ type ServerOptions struct {
 	// Metrics is the server's observability registry. Nil means the
 	// server creates its own, so StatsRequest{Detailed} always has data.
 	Metrics *obs.Registry
-	// ReplBatch configures the primary's replication batcher (group
-	// commit). The zero value enables batching with defaults; set
-	// ReplBatch.Disabled for the one-RPC-per-write path.
-	ReplBatch BatchOptions
-	// SerialReads disables the parallel MultiGet key fan-out, reading
-	// keys one after another instead (the pre-pipelining behaviour;
-	// kept as a baseline for benchmarks).
-	SerialReads bool
 	// TraceRing bounds the ring of spans retained for TraceRequest
 	// stitching. 0 means 4096; negative disables span recording.
 	TraceRing int
@@ -165,7 +157,7 @@ type Server struct {
 	stats serverStats
 	reg   *obs.Registry
 	om    serverMetrics
-	repl  *batcher       // nil when ReplBatch.Disabled
+	repl  *batcher
 	spans *obs.SpanStore // nil when TraceRing < 0
 
 	// WAL state (opt.Log != nil). walSinceCkpt counts records appended
@@ -296,9 +288,7 @@ func NewServer(opt ServerOptions) (*Server, error) {
 	if ms, ok := opt.Backend.(interface{ SetMetrics(*obs.Registry) }); ok {
 		ms.SetMetrics(s.reg)
 	}
-	if !opt.ReplBatch.Disabled {
-		s.repl = newBatcher(s, opt.ReplBatch)
-	}
+	s.repl = newBatcher(s, batchLimits{maxOps: batchMaxOps, maxBytes: batchMaxBytes, workers: batchWorkers})
 	s.primary = opt.Primary
 	if opt.Primary && opt.LeaseDuration > 0 {
 		// A fresh primary may serve immediately; renewal keeps it alive.
@@ -340,9 +330,7 @@ func (s *Server) Close() {
 	s.closed = true
 	close(s.stopRenewal)
 	s.mu.Unlock()
-	if s.repl != nil {
-		s.repl.close()
-	}
+	s.repl.close()
 	s.wg.Wait()
 }
 
@@ -407,11 +395,7 @@ func (s *Server) antiEntropyOnce() {
 		return
 	}
 	for _, op := range pull.Data {
-		if op.Tombstone {
-			_ = s.opt.Backend.Delete(op.Key, op.Version)
-		} else {
-			_ = s.opt.Backend.Put(op.Key, op.Val, op.Version)
-		}
+		_ = s.applyDataOp(op)
 	}
 	// Only in-doubt (prepared) records matter here: committed data
 	// already arrived through the version dump above, and replaying the
@@ -599,8 +583,8 @@ func (s *Server) ReplicateToBackups(ctx context.Context, msg any) error {
 	}
 	// Time-to-quorum is the replication lag a committing write experiences.
 	// It is also the repl-ack stage of whichever transaction is blocked on
-	// this call (the unbatched write path and prepare/decision replication
-	// run in the caller's goroutine, so the ledger rides ctx).
+	// this call (prepare/decision replication runs in the caller's
+	// goroutine, so the ledger rides ctx).
 	waited := time.Since(ackStart)
 	s.om.replAck.Observe(int64(waited))
 	obs.AttributeStage(ctx, obs.StageReplAck, waited)
@@ -690,11 +674,8 @@ func (s *Server) CheckpointWAL() error {
 	s.mu.Lock()
 	ck.LeaseExpiry = s.granted
 	s.mu.Unlock()
-	err := s.opt.Backend.Dump(clock.Timestamp{}, func(key []byte, ver clock.Timestamp, val []byte, tombstone bool) error {
-		ck.Data = append(ck.Data, wire.DataOp{Key: key, Val: val, Version: ver, Tombstone: tombstone})
-		return nil
-	})
-	if err != nil {
+	var err error
+	if ck.Data, err = s.dumpData(clock.Timestamp{}); err != nil {
 		return err
 	}
 	payload, err := wire.Codec.Append(nil, ck)
@@ -779,11 +760,23 @@ func (s *Server) recoverFromWAL() error {
 	return nil
 }
 
+// applyDataOp writes one replicated version (or tombstone) to the backend.
 func (s *Server) applyDataOp(op wire.DataOp) error {
 	if op.Tombstone {
 		return s.opt.Backend.Delete(op.Key, op.Version)
 	}
 	return s.opt.Backend.Put(op.Key, op.Val, op.Version)
+}
+
+// dumpData collects every version the backend holds above since, in the
+// shape replication ships them.
+func (s *Server) dumpData(since clock.Timestamp) ([]wire.DataOp, error) {
+	var ops []wire.DataOp
+	err := s.opt.Backend.Dump(since, func(key []byte, ver clock.Timestamp, val []byte, tombstone bool) error {
+		ops = append(ops, wire.DataOp{Key: key, Val: val, Version: ver, Tombstone: tombstone})
+		return nil
+	})
+	return ops, err
 }
 
 // MutateSkipWALFsync deliberately breaks the durability contract by
@@ -1214,10 +1207,11 @@ func (s *Server) handleGet(ctx context.Context, r wire.GetRequest) (wire.GetResp
 
 // handleMultiGet fans a snapshot read out across its keys concurrently, so
 // independent keys exercise the flash emulator's channels in parallel
-// instead of convoying behind one another's page reads.
+// instead of convoying behind one another's page reads. A single key is read
+// inline: there is nothing to overlap.
 func (s *Server) handleMultiGet(ctx context.Context, r wire.MultiGetRequest) (wire.MultiGetResponse, error) {
 	resp := wire.MultiGetResponse{Items: make([]wire.GetResponse, len(r.Keys))}
-	if len(r.Keys) <= 1 || s.opt.SerialReads {
+	if len(r.Keys) <= 1 {
 		for i, key := range r.Keys {
 			item, err := s.handleGet(ctx, wire.GetRequest{Key: key, At: r.At, AnyReplica: r.AnyReplica})
 			if err != nil {
@@ -1274,18 +1268,13 @@ func (s *Server) writeVersion(ctx context.Context, key, val []byte, ver clock.Ti
 	if ver.Before(latest) {
 		return wire.PutResponse{Rejected: true}, nil
 	}
-	var err error
+	op := wire.DataOp{Key: key, Val: val, Version: ver, Tombstone: tombstone}
 	programStart := time.Now()
-	if tombstone {
-		err = s.opt.Backend.Delete(key, ver)
-	} else {
-		err = s.opt.Backend.Put(key, val, ver)
-	}
+	err := s.applyDataOp(op)
 	obs.AttributeStage(ctx, obs.StageFlashProgram, time.Since(programStart))
 	if err != nil {
 		return wire.PutResponse{}, err
 	}
-	op := wire.DataOp{Key: key, Val: val, Version: ver, Tombstone: tombstone}
 	// The write is applied; make it durable before replicating or
 	// acknowledging. Logged in the same shape the backups see, so replay
 	// shares one code path with replicated data.
@@ -1298,15 +1287,10 @@ func (s *Server) writeVersion(ctx context.Context, key, val []byte, ver clock.Ti
 	if tc := obs.ReqFrom(ctx).TraceContext; tc.Sampled {
 		op.TC = tc
 	}
-	if s.repl != nil {
-		// Batched path: enqueue and wait for this op's own quorum. The
-		// batcher coalesces concurrent writes into one ReplicateData
-		// envelope per flush (group commit), amortizing the RPC fan-out.
-		err = s.repl.replicate(ctx, op)
-	} else {
-		err = s.ReplicateToBackups(ctx, wire.ReplicateData{Ops: []wire.DataOp{op}})
-	}
-	if err != nil {
+	// Enqueue and wait for this op's own quorum. The batcher coalesces
+	// concurrent writes into one ReplicateData envelope per flush (group
+	// commit), amortizing the RPC fan-out.
+	if err := s.repl.replicate(ctx, op); err != nil {
 		return wire.PutResponse{}, err
 	}
 	s.mgr.OnCommittedWrite(key, ver)
@@ -1318,61 +1302,44 @@ func (s *Server) writeVersion(ctx context.Context, key, val []byte, ver clock.Ti
 // concurrently across keys (the backends stripe their metadata locks, so
 // distinct keys really do proceed in parallel and exercise independent flash
 // channels) and answer with a per-op BatchAck so the primary's batcher can
-// demultiplex quorums: one rejected op must not fail its batchmates.
+// demultiplex quorums: one rejected op must not fail its batchmates. A
+// one-op batch applies inline, with no goroutine.
 func (s *Server) handleReplicateData(r wire.ReplicateData) (any, error) {
-	apply := func(op wire.DataOp) error {
+	errs := make([]string, len(r.Ops))
+	apply := func(i int) {
+		op := r.Ops[i]
 		var startTicks int64
 		record := op.TC.Sampled && s.spans != nil
 		if record {
 			startTicks = s.opt.Clock.Now().Ticks
 		}
-		var err error
-		if op.Tombstone {
-			err = s.opt.Backend.Delete(op.Key, op.Version)
-		} else {
-			err = s.opt.Backend.Put(op.Key, op.Val, op.Version)
+		if err := s.applyDataOp(op); err != nil {
+			errs[i] = err.Error()
 		}
 		if record {
 			// One span per sampled op: a batch interleaves many writers'
 			// traffic, and each writer's trace sees only its own op.
-			outcome := ""
-			if err != nil {
-				outcome = err.Error()
-			}
 			s.spans.Add(obs.SpanRecord{
 				TraceID: op.TC.TraceID, SpanID: s.spans.NextID(), Parent: op.TC.SpanID,
 				Node: s.opt.Addr, Name: "replicate-op",
 				Start: startTicks, End: s.opt.Clock.Now().Ticks,
-				Outcome: outcome,
+				Outcome: errs[i],
 			})
 		}
-		return err
 	}
-	if len(r.Ops) <= 1 {
-		// Single-op (legacy / unbatched) path keeps Ack-or-error
-		// semantics, which ReplicateToBackups counts as a whole.
-		for _, op := range r.Ops {
-			if err := apply(op); err != nil {
-				return nil, err
-			}
+	if len(r.Ops) == 1 {
+		apply(0)
+	} else {
+		var wg sync.WaitGroup
+		for i := range r.Ops {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				apply(i)
+			}(i)
 		}
-		if err := s.logRecord(r); err != nil {
-			return nil, err
-		}
-		return wire.Ack{}, nil
+		wg.Wait()
 	}
-	errs := make([]string, len(r.Ops))
-	var wg sync.WaitGroup
-	for i, op := range r.Ops {
-		wg.Add(1)
-		go func(i int, op wire.DataOp) {
-			defer wg.Done()
-			if err := apply(op); err != nil {
-				errs[i] = err.Error()
-			}
-		}(i, op)
-	}
-	wg.Wait()
 	nerr, first := 0, ""
 	for _, e := range errs {
 		if e != "" {
@@ -1383,15 +1350,14 @@ func (s *Server) handleReplicateData(r wire.ReplicateData) (any, error) {
 		}
 	}
 	switch {
-	case nerr == len(r.Ops):
-		// Nothing applied: a call-level error, so senders without per-op
-		// demux (the generic quorum counter) still count this peer failed.
-		return nil, errors.New(first)
 	case nerr == 0:
 		if err := s.logRecord(r); err != nil {
 			return nil, err
 		}
 		return wire.BatchAck{}, nil
+	case nerr == len(r.Ops):
+		// Nothing applied: a call-level error fails this peer as a whole.
+		return nil, errors.New(first)
 	default:
 		// Log only the ops this replica actually holds; replaying a write
 		// the backend rejected would resurrect it from the dead.
@@ -1453,11 +1419,8 @@ func (s *Server) handleRecoveryPull(r wire.RecoveryPullRequest) (wire.RecoveryPu
 	s.mu.Lock()
 	resp.LeaseExpiry = s.granted
 	s.mu.Unlock()
-	err := s.opt.Backend.Dump(r.Since, func(key []byte, ver clock.Timestamp, val []byte, tombstone bool) error {
-		resp.Data = append(resp.Data, wire.DataOp{Key: key, Val: val, Version: ver, Tombstone: tombstone})
-		return nil
-	})
-	if err != nil {
+	var err error
+	if resp.Data, err = s.dumpData(r.Since); err != nil {
 		return wire.RecoveryPullResponse{}, err
 	}
 	return resp, nil
@@ -1499,11 +1462,7 @@ func (s *Server) Promote(ctx context.Context) error {
 		}
 		reached++
 		for _, op := range pull.Data {
-			if op.Tombstone {
-				_ = s.opt.Backend.Delete(op.Key, op.Version)
-			} else {
-				_ = s.opt.Backend.Put(op.Key, op.Val, op.Version)
-			}
+			_ = s.applyDataOp(op)
 		}
 		pulledTxns = append(pulledTxns, pull.Txns)
 		if pull.LeaseExpiry.After(maxLease) {
