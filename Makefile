@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race check cover nogob onecarrier audit stress overload crash overhead benchall
+.PHONY: all build vet test race check cover nogob onecarrier oneroute audit stress overload crash overhead benchall
 
 all: check
 
@@ -49,6 +49,17 @@ onecarrier:
 	if [ -n "$$bad" ]; then echo "onecarrier: context.WithValue outside internal/obs/req.go in:"; echo "$$bad"; exit 1; fi; \
 	echo "onecarrier: ok"
 
+# oneroute keeps the request-class decision in semel's route table: no
+# package that ships under internal/resilience may import repro/internal/wire
+# (which it would need to classify requests itself), so admission control
+# enforces a class the server hands it. go list's .Imports leaves test-only
+# imports out.
+ONEROUTE_PKGS = ./internal/resilience/...
+oneroute:
+	@bad=$$($(GO) list -f '{{.ImportPath}}: {{join .Imports " "}}' $(ONEROUTE_PKGS) | grep -E ' repro/internal/wire( |$$)' | cut -d: -f1); \
+	if [ -n "$$bad" ]; then echo "oneroute: repro/internal/wire imported outside tests by:"; echo "$$bad"; exit 1; fi; \
+	echo "oneroute: ok"
+
 # audit runs the online-audit gate under the race detector: chaos runs with
 # the streaming auditor attached must stay silent (zero convictions, zero
 # ε violations), a mutated cluster must be convicted online, the streaming
@@ -62,13 +73,14 @@ audit:
 # full test suite under the race detector (which includes a small
 # 2-seed × 3-profile chaos sweep via TestStressChaosSweep and the online
 # audit suite), hold the coverage floor, survive the crash/durability gate,
-# keep encoding/gob out of everything that ships, and keep the request record
-# the only context value.
+# keep encoding/gob out of everything that ships, keep the request record
+# the only context value, and keep request classes out of internal/resilience.
 check:
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(MAKE) nogob
 	$(MAKE) onecarrier
+	$(MAKE) oneroute
 	$(GO) test -race ./...
 	$(MAKE) cover
 	$(MAKE) crash
@@ -111,7 +123,7 @@ crash:
 # plus a live tsdb sampler must cost < 3% of bus transaction throughput
 # versus a fully disabled cluster, the WAL's log-before-ack path must keep at
 # least 20% of the WAL-off transaction throughput, and the idle resilience
-# layer (admission + breakers + retry budget + hedging) must account to < 2%
+# layer (admission + breakers + retry budget) must account to < 2%
 # of a bus transaction. The repository benchmark (bash benchmark/run.sh, see
 # BENCHMARK.json) is the instrument for end-to-end performance.
 overhead:

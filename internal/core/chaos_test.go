@@ -13,6 +13,7 @@ import (
 	"repro/internal/check"
 	"repro/internal/clock"
 	"repro/internal/cluster"
+	"repro/internal/flash"
 	"repro/internal/milana"
 	"repro/internal/wire"
 )
@@ -287,7 +288,12 @@ func TestChaosFailoverFlashBackend(t *testing.T) {
 	const initial = 100
 	c := newTestCluster(t, ClusterOptions{
 		Shards: 1, Replicas: 3,
-		Backend:         BackendMFTL,
+		Backend: BackendMFTL,
+		// Nothing broadcasts a watermark here, so no version ever becomes
+		// garbage: the device must hold every version the run commits. The
+		// default 2 MiB fills at about a thousand transfers, and on a full
+		// device prepared transfers can never be applied.
+		Geometry:        flash.Geometry{Channels: 4, BlocksPerChannel: 128, PagesPerBlock: 16, PageSize: 1024},
 		PackTimeout:     -1,
 		LeaseDuration:   40 * time.Millisecond,
 		PreparedTimeout: 150 * time.Millisecond,

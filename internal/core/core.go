@@ -119,11 +119,10 @@ type ClusterOptions struct {
 	// Resilience, when set, threads the overload/gray-failure survival kit
 	// through the cluster: every server gets an admission controller
 	// (priority load shedding + RetryAfter pushback), and every transaction
-	// client NewTxnClient builds gets a budgeted retry policy, a read
-	// hedger, and per-endpoint circuit breakers — all sharing one token
-	// bucket per client, with metrics in the cluster registry (Obs) for
-	// clients and each server's own registry for admission. Nil disables
-	// the whole layer (the seed behavior).
+	// client NewTxnClient builds gets a budgeted retry policy (one token
+	// bucket per client) and per-endpoint circuit breakers, with metrics in
+	// the cluster registry (Obs) for clients and each server's own registry
+	// for admission. Nil disables the whole layer (the seed behavior).
 	Resilience *resilience.Options
 }
 
@@ -543,8 +542,8 @@ func (c *Cluster) NewSemelClient(id uint32) *semel.Client {
 
 // NewTxnClient builds a transaction client. With auditing enabled the
 // client streams every transaction it finishes into the cluster's auditor;
-// with Resilience set it additionally gets budgeted retries, read hedging,
-// and per-endpoint circuit breakers (the breaker wraps *outside* any fault
+// with Resilience set it additionally gets budgeted retries and
+// per-endpoint circuit breakers (the breaker wraps *outside* any fault
 // injector, so injected faults trip it like real ones).
 func (c *Cluster) NewTxnClient(id uint32) *milana.Client {
 	net := c.clientNet(id)
@@ -563,7 +562,7 @@ func (c *Cluster) NewTxnClient(id uint32) *milana.Client {
 	if c.opt.Stages {
 		cl.EnableStages(c.Obs)
 	}
-	if ro != nil && (!ro.NoRetry || !ro.NoHedge) {
+	if ro != nil && !ro.NoRetry {
 		retryOpt := ro.Retry
 		if retryOpt.Metrics == nil {
 			retryOpt.Metrics = c.Obs
@@ -572,19 +571,7 @@ func (c *Cluster) NewTxnClient(id uint32) *milana.Client {
 			retryOpt.Seed = c.opt.Seed + int64(id) + 1
 		}
 		budget := resilience.NewBudget(retryOpt.BudgetRatio, retryOpt.BudgetBurst, c.Obs)
-		var retrier *resilience.Retrier
-		if !ro.NoRetry {
-			retrier = resilience.NewRetrier(retryOpt, budget)
-		}
-		var hedger *resilience.Hedger
-		if !ro.NoHedge {
-			ho := ro.Hedge
-			if ho.Metrics == nil {
-				ho.Metrics = c.Obs
-			}
-			hedger = resilience.NewHedger(ho, budget)
-		}
-		cl.EnableResilience(retrier, hedger)
+		cl.EnableResilience(resilience.NewRetrier(retryOpt, budget))
 	}
 	return cl
 }

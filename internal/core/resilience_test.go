@@ -20,21 +20,19 @@ import (
 	"repro/internal/obs"
 	"repro/internal/resilience"
 	"repro/internal/transport"
-	"repro/internal/wire"
 )
 
 // TestResilienceChaosAudit is the resilience-enabled chaos matrix: the full
-// stack — budgeted retries, hedged reads, circuit breakers, admission
+// stack — budgeted retries, circuit breakers, admission
 // control, propagated deadlines — runs under probabilistic message faults,
 // structural chaos, amnesia kills, AND gray-failure slow events, across the
 // three clock profiles, with the streaming auditor always on. It demands:
 //
-//	(a) no retry storm: the combined retry+hedge count stays inside the
-//	    token-bucket bound (ratio × fresh + burst × clients), read straight
-//	    from the metrics;
-//	(b) zero serializability convictions and zero ε violations — hedging
-//	    a read or retrying an aborted transaction must never manufacture
-//	    an anomaly;
+//	(a) no retry storm: the retry count stays inside the token-bucket
+//	    bound (ratio × fresh + burst × clients), read straight from the
+//	    metrics;
+//	(b) zero serializability convictions and zero ε violations — retrying
+//	    an aborted transaction must never manufacture an anomaly;
 //	(c) money conserved after the dust settles.
 func TestResilienceChaosAudit(t *testing.T) {
 	if testing.Short() {
@@ -92,11 +90,7 @@ func resilienceChaosRound(t *testing.T, seed int64, profile clock.Profile) {
 			Epsilon:       2*profile.Epsilon() + maxStep + 200*time.Microsecond,
 		},
 		Resilience: &resilience.Options{
-			Retry: resilience.RetryOptions{BudgetRatio: budgetRatio, BudgetBurst: budgetBurst},
-			// A warm hedger fires aggressively under injected delays; that
-			// is the point — reads must stay hedgeable without tripping the
-			// budget or the auditor.
-			Hedge:   resilience.HedgeOptions{MinSamples: 32, MinDelay: 500 * time.Microsecond},
+			Retry:   resilience.RetryOptions{BudgetRatio: budgetRatio, BudgetBurst: budgetBurst},
 			Breaker: resilience.BreakerOptions{FailureThreshold: 4, Cooldown: 100 * time.Millisecond},
 			Admission: resilience.AdmissionOptions{
 				MaxInflight:   128,
@@ -110,7 +104,7 @@ func resilienceChaosRound(t *testing.T, seed int64, profile clock.Profile) {
 
 	// fresh counts RunTransaction invocations (one budget deposit each);
 	// clients counts budgets (one burst allowance each). Together they bound
-	// every retry and hedge the metrics may report.
+	// every retry the metrics may report.
 	var fresh, clients atomic.Int64
 	newClient := func(id uint32) *milana.Client {
 		clients.Add(1)
@@ -249,7 +243,7 @@ func resilienceChaosRound(t *testing.T, seed int64, profile clock.Profile) {
 	auditor.BroadcastWatermark(ctx)
 
 	// (b) the streaming auditor stayed silent and the history is
-	// serializable despite retries and hedged reads.
+	// serializable despite retries.
 	rep := c.Auditor().Drain()
 	st := c.Auditor().Stats()
 	if !rep.Serializable {
@@ -265,21 +259,20 @@ func resilienceChaosRound(t *testing.T, seed int64, profile clock.Profile) {
 		fail("offline history check convicted: %v", offline)
 	}
 
-	// (a) no retry storm: the token bucket bounds retries + hedges by
-	// construction; this asserts the wiring didn't leak a path around it.
+	// (a) no retry storm: the token bucket bounds retries by construction;
+	// this asserts the wiring didn't leak a path around it.
 	snap := c.Obs.Snapshot()
 	retries := snap.Counters["resilience_retries_total"]
-	hedges := snap.Counters["resilience_hedges_total"]
 	bound := int64(budgetRatio*float64(fresh.Load())) + budgetBurst*clients.Load()
-	if retries+hedges > bound {
-		fail("retry storm: %d retries + %d hedges > budget bound %d (fresh=%d clients=%d)",
-			retries, hedges, bound, fresh.Load(), clients.Load())
+	if retries > bound {
+		fail("retry storm: %d retries > budget bound %d (fresh=%d clients=%d)",
+			retries, bound, fresh.Load(), clients.Load())
 	}
 	if transfers.Load() == 0 {
 		fail("no transfer ever committed; chaos too aggressive to be meaningful")
 	}
-	t.Logf("%s seed=%d: %d transfers, %d retries, %d hedges (bound %d), %d sheds, breaker opens %d, slowed %d deliveries",
-		profile.Name, seed, transfers.Load(), retries, hedges, bound,
+	t.Logf("%s seed=%d: %d transfers, %d retries (bound %d), %d sheds, breaker opens %d, slowed %d deliveries",
+		profile.Name, seed, transfers.Load(), retries, bound,
 		shedTotal(mergedServerCounters(c, shards, replicas)), snap.Counters["breaker_open_total"], in.Stats().Slowed)
 }
 
@@ -331,8 +324,7 @@ func TestBreakerRecovery(t *testing.T) {
 		NetWrapper:    in.Wrap,
 		Resilience: &resilience.Options{
 			Breaker: resilience.BreakerOptions{FailureThreshold: threshold, Cooldown: cooldown},
-			NoHedge: true, // keep each failed txn exactly one transport failure
-			NoRetry: true,
+			NoRetry: true, // keep each failed txn exactly one transport failure
 		},
 	})
 	ctx := context.Background()
@@ -549,7 +541,7 @@ func (gateNet) Call(ctx context.Context, addr string, req any) (any, error) { re
 
 // TestResilienceOverheadGate is the make-overhead gate for the idle-path
 // cost of the whole resilience layer (admission on every server, breakers +
-// retry budget + hedging on every client): < 2% of a bus read-modify-write
+// retry budget on every client): < 2% of a bus read-modify-write
 // transaction. Opt-in via RESILIENCE_OVERHEAD_GATE, same reasoning as the
 // other wall-clock gates.
 //
@@ -571,13 +563,11 @@ func TestResilienceOverheadGate(t *testing.T) {
 
 	// How one runSequentialTxns transaction (1 Get + 1 Put, one shard,
 	// three replicas) exercises the layer:
-	//   - 1 hedged read (Get);
 	//   - 3 breaker-wrapped client calls (get, prepare, decision);
 	//   - 7 server admissions: get (read class) + prepare (prepare class)
 	//     classify and check queue delay; decision + 4 replication
 	//     messages (2 backups × prepare, decision) are control class.
 	const (
-		hedgedReads    = 1
 		breakerCalls   = 3
 		classifiedReqs = 2
 		controlReqs    = 5
@@ -590,15 +580,6 @@ func TestResilienceOverheadGate(t *testing.T) {
 	}
 
 	budget := resilience.NewBudget(0.1, 10, nil)
-	hedger := resilience.NewHedger(resilience.HedgeOptions{MinSamples: 4, MinDelay: time.Millisecond}, budget)
-	for i := 0; i < 64; i++ {
-		hedger.ReadObserve(time.Millisecond)
-	}
-	nsHedge := bench("hedged read (warm)", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_, _ = hedger.Do(ctx, gateNet{}, "shard0/r0", nil)
-		}
-	})
 	breaker := resilience.NewBreakerClient(gateNet{}, resilience.BreakerOptions{})
 	nsBreaker := bench("breaker call (closed)", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -611,14 +592,14 @@ func TestResilienceOverheadGate(t *testing.T) {
 	actx := obs.WithReq(ctx, obs.Req{TraceContext: obs.TraceContext{TraceID: 1, SpanID: 2, Sampled: true}})
 	nsAdmitRead := bench("admit read/prepare", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if adm.Admit(actx, wire.GetRequest{}) == nil {
+			if adm.Admit(actx, resilience.PriRead) == nil {
 				adm.Done()
 			}
 		}
 	})
 	nsAdmitCtl := bench("admit control", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if adm.Admit(actx, wire.DecisionRequest{}) == nil {
+			if adm.Admit(actx, resilience.PriControl) == nil {
 				adm.Done()
 			}
 		}
@@ -630,7 +611,7 @@ func TestResilienceOverheadGate(t *testing.T) {
 		}
 	})
 
-	perTxn := hedgedReads*nsHedge + breakerCalls*nsBreaker +
+	perTxn := breakerCalls*nsBreaker +
 		classifiedReqs*nsAdmitRead + controlReqs*nsAdmitCtl + nsRetry
 
 	// Denominator: the per-transaction latency of a resilience-enabled

@@ -242,9 +242,12 @@ func TestStressCheckerCatchesWeakenedValidation(t *testing.T) {
 	ctx := context.Background()
 	key := []byte("ctr")
 
+	// One history for every round: later rounds read the versions earlier
+	// rounds installed, and a reader of an unrecorded version is not the
+	// anomaly this test is after.
+	hist := check.NewHistory()
 	deadline := time.Now().Add(30 * time.Second)
 	for round := 0; ; round++ {
-		hist := check.NewHistory()
 		var wg sync.WaitGroup
 		for w := 0; w < 4; w++ {
 			wg.Add(1)

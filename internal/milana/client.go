@@ -103,10 +103,6 @@ type Client struct {
 	// honors server RetryAfter pushback. Nil keeps the paper's
 	// retry-immediately behavior (§5.2).
 	retrier *resilience.Retrier
-	// hedger, when attached via EnableResilience, issues a duplicate of a
-	// straggling read RPC after the observed p95 (first response wins, loser
-	// cancelled, hedges drawn from the retry budget). Nil disables.
-	hedger *resilience.Hedger
 
 	seq atomic.Uint64
 
@@ -207,23 +203,10 @@ func (c *Client) AddSink(s check.Sink) {
 	}
 }
 
-// EnableResilience attaches the client's retry policy and read hedger.
-// Either may be nil to enable just the other. Call before issuing
+// EnableResilience attaches the client's retry policy. Call before issuing
 // transactions; not safe to swap concurrently with them.
-func (c *Client) EnableResilience(r *resilience.Retrier, h *resilience.Hedger) {
+func (c *Client) EnableResilience(r *resilience.Retrier) {
 	c.retrier = r
-	c.hedger = h
-}
-
-// readCall issues one read RPC, hedged after the observed p95 when the
-// client has a hedger (the hedge goes to the same address — the point is
-// escaping a transient scheduling or GC stall, not replica selection, and
-// reads are idempotent so duplicates are harmless).
-func (c *Client) readCall(ctx context.Context, addr string, req any) (any, error) {
-	if c.hedger == nil {
-		return c.net.Call(ctx, addr, req)
-	}
-	return c.hedger.Do(ctx, c.net, addr, req)
 }
 
 // Clock exposes the client's clock (trace collection reads its Health to
@@ -380,7 +363,7 @@ func (t *Txn) Get(ctx context.Context, key []byte) (val []byte, found bool, err 
 	if err != nil {
 		return nil, false, err
 	}
-	resp, err := t.c.readCall(t.rpcCtx(ctx), addr, wire.GetRequest{Key: key, At: t.begin, AnyReplica: anyReplica})
+	resp, err := t.c.net.Call(t.rpcCtx(ctx), addr, wire.GetRequest{Key: key, At: t.begin, AnyReplica: anyReplica})
 	if err != nil {
 		return nil, false, err
 	}
@@ -804,7 +787,7 @@ func (t *Txn) GetMany(ctx context.Context, keys [][]byte) (map[string][]byte, er
 				return
 			}
 			f.anyReplica = anyReplica
-			resp, err := t.c.readCall(ctx, addr, wire.MultiGetRequest{Keys: f.keys, At: t.begin, AnyReplica: anyReplica})
+			resp, err := t.c.net.Call(ctx, addr, wire.MultiGetRequest{Keys: f.keys, At: t.begin, AnyReplica: anyReplica})
 			if err != nil {
 				f.err = err
 				return

@@ -68,20 +68,19 @@ func NewAdmission(opt AdmissionOptions) *Admission {
 	return a
 }
 
-// Admit decides one request. nil means admitted — the caller must pair it
-// with exactly one Done(). A non-nil error is the response to send: the
-// request must not be dispatched.
-func (a *Admission) Admit(ctx context.Context, req any) error {
+// Admit decides one request of class pri. nil means admitted — the caller
+// must pair it with exactly one Done(). A non-nil error is the response to
+// send: the request must not be dispatched.
+func (a *Admission) Admit(ctx context.Context, pri Priority) error {
 	if a == nil {
 		return nil
 	}
-	// Classify first: control traffic (decisions, replication, leases) is
-	// never shed and never deadline-dropped — a commit decision must reach
-	// the backups even if the client that asked for it has given up — so
-	// it skips the context walks below entirely. Control is also most of
-	// the request volume a replicated commit generates, which keeps this
-	// check's cost off the idle fast path.
-	pri := PriorityOf(req)
+	// Control traffic (decisions, replication, leases) is never shed and
+	// never deadline-dropped — a commit decision must reach the backups even
+	// if the client that asked for it has given up — so it skips the context
+	// walks below entirely. Control is also most of the request volume a
+	// replicated commit generates, which keeps this check's cost off the
+	// idle fast path.
 	if pri == PriControl {
 		a.admit()
 		return nil

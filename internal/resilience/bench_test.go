@@ -7,7 +7,6 @@ package resilience
 import (
 	"context"
 	"testing"
-	"time"
 
 	"repro/internal/obs"
 )
@@ -15,18 +14,6 @@ import (
 type benchNet struct{}
 
 func (benchNet) Call(ctx context.Context, addr string, req any) (any, error) { return "ok", nil }
-
-func BenchmarkHedgerDoWarm(b *testing.B) {
-	h := NewHedger(HedgeOptions{MinSamples: 4, MinDelay: time.Millisecond}, NewBudget(0.1, 10, nil))
-	for i := 0; i < 64; i++ {
-		h.ReadObserve(time.Millisecond)
-	}
-	ctx := context.Background()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, _ = h.Do(ctx, benchNet{}, "shard0/r0", nil)
-	}
-}
 
 func BenchmarkPlainCall(b *testing.B) {
 	ctx := context.Background()
@@ -49,18 +36,10 @@ func BenchmarkAdmitDone(b *testing.B) {
 	a := NewAdmission(AdmissionOptions{})
 	// Realistic server-side context depth: one value, the request record.
 	ctx := obs.WithReq(context.Background(), obs.Req{TraceContext: obs.TraceContext{TraceID: 1, SpanID: 2, Sampled: true}})
-	req := struct{}{}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := a.Admit(ctx, req); err == nil {
+		if err := a.Admit(ctx, PriControl); err == nil {
 			a.Done()
 		}
-	}
-}
-
-func BenchmarkReadObserve(b *testing.B) {
-	h := NewHedger(HedgeOptions{}, nil)
-	for i := 0; i < b.N; i++ {
-		h.ReadObserve(time.Millisecond)
 	}
 }

@@ -66,9 +66,9 @@ type breaker struct {
 //
 //   - transport.RemoteError counts as success — the server answered, so
 //     the path is healthy no matter how unhappy the application logic is.
-//   - context.Canceled is neutral — the *caller* lost interest (hedge
-//     losers are cancelled on every hedge win; they must not trip
-//     breakers).
+//   - context.Canceled is neutral — the *caller* lost interest (a
+//     transaction abandoned mid-read, a client shutting down); that says
+//     nothing about the endpoint and must not trip breakers.
 //   - Shed verdicts and server-side deadline drops are neutral too: an
 //     overloaded server is alive, and admission pushback is the correct
 //     signal for it, not breaker isolation.

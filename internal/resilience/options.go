@@ -2,21 +2,18 @@ package resilience
 
 // Options bundles the whole resilience layer's knobs for cluster wiring:
 // core.ClusterOptions carries one of these and fans the pieces out — Retry
-// and Hedge to each client (sharing one Budget), Breaker around each
-// client's transport, Admission into each server. The zero value enables
-// everything with defaults; the No* switches turn individual mechanisms
-// off for A/B tests and the overhead gate.
+// to each client (with its own Budget), Breaker around each client's
+// transport, Admission into each server. The zero value enables everything
+// with defaults; the No* switches turn individual mechanisms off for A/B
+// tests and the overhead gate.
 type Options struct {
 	Retry     RetryOptions
-	Hedge     HedgeOptions
 	Breaker   BreakerOptions
 	Admission AdmissionOptions
 
 	// NoRetry disables the budgeted backoff policy in RunTransaction
 	// (restoring the seed's immediate-retry loop).
 	NoRetry bool
-	// NoHedge disables read hedging.
-	NoHedge bool
 	// NoBreaker disables the per-endpoint circuit breakers.
 	NoBreaker bool
 	// NoAdmission disables server-side load shedding.

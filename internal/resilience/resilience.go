@@ -1,9 +1,9 @@
 // Package resilience is the overload and gray-failure survival kit for the
 // SEMEL/MILANA stack: end-to-end deadlines, an adaptive client retry policy
 // (exponential backoff with full jitter under a token-bucket retry budget),
-// tail-latency hedging for reads, per-endpoint circuit breakers with
-// half-open probing, and server-side admission control with strict priority
-// load shedding and RetryAfter pushback.
+// per-endpoint circuit breakers with half-open probing, and server-side
+// admission control with strict priority load shedding and RetryAfter
+// pushback.
 //
 // The paper's latency story (commit-wait bounded by ε, §4) assumes healthy
 // replicas; this package keeps the system *live* when they are not:
@@ -17,9 +17,6 @@
 //     ~BudgetRatio of fresh traffic no matter how hard the cluster aborts —
 //     the retry-storm amplifier in the old tight RunTransaction loop is
 //     structurally impossible.
-//   - Hedged reads bound the read tail: a second copy of a straggling
-//     MultiGet is issued after the observed p95, first response wins, the
-//     loser is cancelled, and hedges draw from the same budget as retries.
 //   - Circuit breakers turn a dead replica from N timeouts into one fast
 //     failure, and find recovery via single half-open probes.
 //   - Admission control sheds reads first, prepares later, and control
@@ -40,7 +37,6 @@ import (
 	"time"
 
 	"repro/internal/transport"
-	"repro/internal/wire"
 )
 
 // ErrDeadlineExceeded is returned by a server that received (or dequeued)
@@ -135,7 +131,9 @@ func RetryAfterFrom(err error) (d time.Duration, ok bool) {
 }
 
 // Priority is a request's admission class. Lower values are more
-// important and are shed last (control traffic is never shed at all).
+// important and are shed last (control traffic is never shed at all). The
+// server decides each request type's class (semel's route table); this
+// package only enforces it.
 type Priority uint8
 
 const (
@@ -165,22 +163,6 @@ func (p Priority) String() string {
 		return "prepare"
 	default:
 		return "read"
-	}
-}
-
-// PriorityOf classifies a wire request for admission. The Replicated
-// envelope classifies by its inner message (replication is control
-// traffic either way). Unknown request types are control: infrastructure
-// RPCs (stats, traces, time health, recovery pulls) are rare and cheap to
-// answer compared to the cost of misclassifying a protocol message.
-func PriorityOf(req any) Priority {
-	switch req.(type) {
-	case wire.GetRequest, wire.MultiGetRequest, wire.PutRequest, wire.DeleteRequest:
-		return PriRead
-	case wire.PrepareRequest:
-		return PriPrepare
-	default:
-		return PriControl
 	}
 }
 

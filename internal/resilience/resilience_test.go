@@ -3,13 +3,11 @@ package resilience
 import (
 	"context"
 	"errors"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/obs"
 	"repro/internal/transport"
-	"repro/internal/wire"
 )
 
 func TestRetryAfterRoundTrip(t *testing.T) {
@@ -64,31 +62,6 @@ func TestErrorTaxonomy(t *testing.T) {
 	}
 	if IsServerBusy(errors.New("conflict abort")) {
 		t.Fatal("unrelated error misclassified as busy")
-	}
-}
-
-func TestPriorityOf(t *testing.T) {
-	cases := []struct {
-		req  any
-		want Priority
-	}{
-		{wire.GetRequest{}, PriRead},
-		{wire.MultiGetRequest{}, PriRead},
-		{wire.PutRequest{}, PriRead},
-		{wire.DeleteRequest{}, PriRead},
-		{wire.PrepareRequest{}, PriPrepare},
-		{wire.DecisionRequest{}, PriControl},
-		{wire.StatusRequest{}, PriControl},
-		{wire.StatsRequest{}, PriControl},
-		{nil, PriControl},
-	}
-	for _, c := range cases {
-		if got := PriorityOf(c.req); got != c.want {
-			t.Errorf("PriorityOf(%T) = %v, want %v", c.req, got, c.want)
-		}
-	}
-	if PriControl.String() != "control" || PriPrepare.String() != "prepare" || PriRead.String() != "read" {
-		t.Fatal("priority names wrong")
 	}
 }
 
@@ -245,7 +218,7 @@ func TestBreakerClassification(t *testing.T) {
 		// The server answered: application errors prove the path works.
 		{&transport.RemoteError{Msg: "milana: aborted"}, verdictSuccess},
 		{&transport.RemoteError{Msg: busyError(PriRead, time.Millisecond).Error()}, verdictSuccess},
-		// The caller lost interest (hedge losers) — never a breaker signal.
+		// The caller lost interest — never a breaker signal.
 		{context.Canceled, verdictNeutral},
 		// Overload verdicts: the server is alive; pushback, not isolation.
 		{busyError(PriRead, time.Millisecond), verdictNeutral},
@@ -262,17 +235,20 @@ func TestBreakerClassification(t *testing.T) {
 }
 
 func TestAdmissionPriorityOrdering(t *testing.T) {
+	if PriControl.String() != "control" || PriPrepare.String() != "prepare" || PriRead.String() != "read" {
+		t.Fatal("priority names wrong")
+	}
 	a := NewAdmission(AdmissionOptions{MaxInflight: 20, MaxQueueDelay: 20 * time.Millisecond})
 	ctx := context.Background()
 
 	// Fill to the read threshold (MaxInflight/2 = 10) with admitted work.
 	for i := 0; i < 10; i++ {
-		if err := a.Admit(ctx, wire.PrepareRequest{}); err != nil {
+		if err := a.Admit(ctx, PriPrepare); err != nil {
 			t.Fatalf("admit %d under capacity: %v", i, err)
 		}
 	}
 	// Reads shed first...
-	err := a.Admit(ctx, wire.GetRequest{})
+	err := a.Admit(ctx, PriRead)
 	if !IsServerBusy(err) {
 		t.Fatalf("read at depth 10/20 not shed: %v", err)
 	}
@@ -281,15 +257,15 @@ func TestAdmissionPriorityOrdering(t *testing.T) {
 	}
 	// ...while prepares are still admitted (threshold 18)...
 	for i := 10; i < 18; i++ {
-		if err := a.Admit(ctx, wire.PrepareRequest{}); err != nil {
+		if err := a.Admit(ctx, PriPrepare); err != nil {
 			t.Fatalf("prepare at depth %d: %v", i, err)
 		}
 	}
-	if err := a.Admit(ctx, wire.PrepareRequest{}); !IsServerBusy(err) {
+	if err := a.Admit(ctx, PriPrepare); !IsServerBusy(err) {
 		t.Fatalf("prepare at depth 18/20 not shed: %v", err)
 	}
 	// ...and control traffic is never shed, at any depth.
-	if err := a.Admit(ctx, wire.DecisionRequest{}); err != nil {
+	if err := a.Admit(ctx, PriControl); err != nil {
 		t.Fatalf("decision shed — control traffic must always be admitted: %v", err)
 	}
 	a.Done()
@@ -301,7 +277,7 @@ func TestAdmissionPriorityOrdering(t *testing.T) {
 	if got := a.Inflight(); got != 0 {
 		t.Fatalf("inflight after drain = %d, want 0", got)
 	}
-	if err := a.Admit(ctx, wire.GetRequest{}); err != nil {
+	if err := a.Admit(ctx, PriRead); err != nil {
 		t.Fatalf("read after drain: %v", err)
 	}
 }
@@ -311,14 +287,14 @@ func TestAdmissionQueueDelayShed(t *testing.T) {
 	// Depth is fine, but the request sat in the decode→dispatch queue too
 	// long: a read sheds at 1× the threshold, a prepare tolerates up to 4×.
 	slow := obs.WithReq(context.Background(), obs.Req{QueueWait: 15 * time.Millisecond})
-	if err := a.Admit(slow, wire.GetRequest{}); !IsServerBusy(err) {
+	if err := a.Admit(slow, PriRead); !IsServerBusy(err) {
 		t.Fatalf("queued read not shed: %v", err)
 	}
-	if err := a.Admit(slow, wire.PrepareRequest{}); err != nil {
+	if err := a.Admit(slow, PriPrepare); err != nil {
 		t.Fatalf("prepare shed at 1.5× read threshold (limit is 4×): %v", err)
 	}
 	verySlow := obs.WithReq(context.Background(), obs.Req{QueueWait: 50 * time.Millisecond})
-	if err := a.Admit(verySlow, wire.PrepareRequest{}); !IsServerBusy(err) {
+	if err := a.Admit(verySlow, PriPrepare); !IsServerBusy(err) {
 		t.Fatalf("prepare queued past 4× threshold not shed: %v", err)
 	}
 }
@@ -327,116 +303,15 @@ func TestAdmissionDeadlineDrop(t *testing.T) {
 	a := NewAdmission(AdmissionOptions{MaxInflight: 8})
 	dead, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	if err := a.Admit(dead, wire.GetRequest{}); !IsDeadlineExceeded(err) {
+	if err := a.Admit(dead, PriRead); !IsDeadlineExceeded(err) {
 		t.Fatalf("expired request not dropped: %v", err)
 	}
 	if a.Inflight() != 0 {
 		t.Fatal("dropped request held an inflight slot")
 	}
 	var nilA *Admission
-	if err := nilA.Admit(dead, wire.GetRequest{}); err != nil {
+	if err := nilA.Admit(dead, PriRead); err != nil {
 		t.Fatalf("nil admission must admit everything: %v", err)
 	}
 	nilA.Done()
-}
-
-// callFunc adapts a bare function to transport.Client for hedger tests.
-type callFunc func(ctx context.Context, addr string, req any) (any, error)
-
-func (f callFunc) Call(ctx context.Context, addr string, req any) (any, error) {
-	return f(ctx, addr, req)
-}
-
-func TestHedgerDelayWarmup(t *testing.T) {
-	h := NewHedger(HedgeOptions{MinSamples: 64, MinDelay: time.Millisecond}, nil)
-	if h.Delay() != 0 {
-		t.Fatal("cold hedger reported a trigger delay")
-	}
-	for i := 0; i < 64; i++ {
-		h.ReadObserve(2 * time.Millisecond)
-	}
-	if d := h.Delay(); d != 2*time.Millisecond {
-		t.Fatalf("Delay = %v, want 2ms (uniform observations)", d)
-	}
-	// Sub-floor p95 is clamped to MinDelay.
-	h2 := NewHedger(HedgeOptions{MinSamples: 64, MinDelay: 5 * time.Millisecond}, nil)
-	for i := 0; i < 64; i++ {
-		h2.ReadObserve(10 * time.Microsecond)
-	}
-	if d := h2.Delay(); d != 5*time.Millisecond {
-		t.Fatalf("Delay = %v, want MinDelay floor 5ms", d)
-	}
-	var nilH *Hedger
-	nilH.ReadObserve(time.Millisecond)
-	if nilH.Delay() != 0 {
-		t.Fatal("nil hedger hedges")
-	}
-}
-
-func TestHedgerDoWinsOverStraggler(t *testing.T) {
-	h := NewHedger(HedgeOptions{MinSamples: 64, MinDelay: time.Millisecond}, NewBudget(1, 100, nil))
-	for i := 0; i < 64; i++ {
-		h.ReadObserve(time.Millisecond)
-	}
-	if h.Delay() <= 0 {
-		t.Fatal("hedger not warm")
-	}
-
-	var calls atomic.Int32
-	resp, err := h.Do(context.Background(), callFunc(func(ctx context.Context, addr string, req any) (any, error) {
-		if calls.Add(1) == 1 {
-			// Primary straggles until cancelled by the hedge win.
-			<-ctx.Done()
-			return nil, ctx.Err()
-		}
-		return "hedged", nil
-	}), "shard0/r0", nil)
-	if err != nil || resp != "hedged" {
-		t.Fatalf("Do = %v, %v; want hedged, nil", resp, err)
-	}
-	if calls.Load() != 2 {
-		t.Fatalf("calls = %d, want 2 (primary + hedge)", calls.Load())
-	}
-}
-
-func TestHedgerRespectsBudget(t *testing.T) {
-	// An empty budget (ratio deposits only, no balance) must suppress the
-	// hedge: the primary eventually wins and only one call happens.
-	bud := NewBudget(0.1, 10, nil)
-	for bud.Withdraw() {
-	}
-	h := NewHedger(HedgeOptions{MinSamples: 4, MinDelay: time.Millisecond}, bud)
-	for i := 0; i < 64; i++ {
-		h.ReadObserve(time.Millisecond)
-	}
-
-	var calls atomic.Int32
-	resp, err := h.Do(context.Background(), callFunc(func(ctx context.Context, addr string, req any) (any, error) {
-		calls.Add(1)
-		time.Sleep(5 * time.Millisecond) // past the trigger
-		return "primary", nil
-	}), "shard0/r0", nil)
-	if err != nil || resp != "primary" {
-		t.Fatalf("Do = %v, %v; want primary, nil", resp, err)
-	}
-	if calls.Load() != 1 {
-		t.Fatalf("calls = %d, want 1 (budget exhausted, no hedge)", calls.Load())
-	}
-}
-
-func TestHedgerBothFail(t *testing.T) {
-	h := NewHedger(HedgeOptions{MinSamples: 4, MinDelay: time.Millisecond}, NewBudget(1, 100, nil))
-	for i := 0; i < 64; i++ {
-		h.ReadObserve(time.Millisecond)
-	}
-	boom := errors.New("replica down")
-	var calls atomic.Int32
-	_, err := h.Do(context.Background(), callFunc(func(ctx context.Context, addr string, req any) (any, error) {
-		calls.Add(1)
-		time.Sleep(3 * time.Millisecond)
-		return nil, boom
-	}), "shard0/r0", nil)
-	if !errors.Is(err, boom) {
-		t.Fatalf("Do error = %v, want %v", err, boom)
-	}
 }

@@ -10,9 +10,9 @@ import (
 
 // RetryOptions configure a client's retry policy.
 type RetryOptions struct {
-	// BudgetRatio is the token deposit per fresh transaction; retries and
-	// hedges each withdraw one token, so their combined rate is bounded at
-	// ~BudgetRatio of the fresh-transaction rate. Default 0.1.
+	// BudgetRatio is the token deposit per fresh transaction; each retry
+	// withdraws one token, so the retry rate is bounded at ~BudgetRatio of
+	// the fresh-transaction rate. Default 0.1.
 	BudgetRatio float64
 	// BudgetBurst caps the token bucket, bounding how large a retry burst
 	// an idle period can bank. Default 10.
@@ -25,7 +25,7 @@ type RetryOptions struct {
 	MaxBackoff time.Duration
 	// Seed seeds the jitter PRNG so chaos runs replay deterministically.
 	Seed int64
-	// Metrics, when set, records retry/hedge accounting.
+	// Metrics, when set, records retry accounting.
 	Metrics *obs.Registry
 }
 
@@ -49,8 +49,7 @@ func (o RetryOptions) withDefaults() RetryOptions {
 }
 
 // Budget is a token-bucket retry budget (the gRPC retry-throttling shape):
-// fresh work deposits fractional tokens, each retry or hedge withdraws a
-// whole one, and a withdrawal from an empty bucket is simply denied — the
+// fresh work deposits fractional tokens, each retry withdraws a whole one, and a withdrawal from an empty bucket is simply denied — the
 // caller returns the original error instead of amplifying load. Because
 // deposits only come from fresh traffic, retry volume is structurally
 // bounded at ratio × fresh even when every transaction aborts.
@@ -88,7 +87,7 @@ func (b *Budget) OnFresh() {
 }
 
 // Withdraw takes one token if available; false means the budget is
-// exhausted and the caller must not retry or hedge.
+// exhausted and the caller must not retry.
 func (b *Budget) Withdraw() bool {
 	if b == nil {
 		return true
@@ -129,8 +128,7 @@ type Retrier struct {
 	busy    *obs.Counter
 }
 
-// NewRetrier builds a Retrier; the Budget is shared with the client's
-// Hedger so hedges and retries draw from one pool.
+// NewRetrier builds a Retrier drawing from budget.
 func NewRetrier(opt RetryOptions, budget *Budget) *Retrier {
 	opt = opt.withDefaults()
 	r := &Retrier{

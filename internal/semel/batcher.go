@@ -4,11 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
@@ -114,7 +116,7 @@ func (b *batcher) close() {
 // replicate enqueues one op and waits for its replication outcome: nil once
 // f backups acknowledged it, an error if a quorum is unreachable. On caller
 // cancellation the op still flushes in the background (replication is
-// durability traffic; see ReplicateToBackups) — only the wait is abandoned.
+// durability traffic; see fanOut) — only the wait is abandoned.
 func (b *batcher) replicate(ctx context.Context, op wire.DataOp) error {
 	p := pendingOp{op: op, ack: make(chan error, 1)}
 	led := obs.ReqFrom(ctx).Ledger
@@ -231,126 +233,252 @@ func opBytes(op wire.DataOp) int {
 	return len(op.Key) + len(op.Val)
 }
 
-// peerResult is one backup's response to a batched ReplicateData.
-type peerResult struct {
-	errs []string // per-op errors from a BatchAck; nil = all applied
-	err  error    // call-level failure: every op failed at this peer
-}
-
-// flush sends one coalesced ReplicateData to every backup and demultiplexes
-// the acknowledgements per op: op i resolves success once f peers applied
-// it, failure once so many peers rejected it that f successes are
-// impossible. A batch is all-or-nothing on the wire but not in outcome —
-// each writer sees exactly its own op's quorum.
+// flush ships one coalesced ReplicateData through the fan-out on a
+// background context (no caller may cut durability traffic short).
 func (b *batcher) flush(batch []pendingOp) {
+	ops := make([]wire.DataOp, len(batch))
 	for i := range batch {
 		batch[i].noteFlush()
+		ops[i] = batch[i].op
 	}
-	s := b.s
+	t := &batchTally{batch: batch, ops: make([]opTally, len(batch)), open: len(batch)}
+	t.finish(b.s.fanOut(context.Background(), wire.ReplicateData{Ops: ops}, t.add))
+}
+
+// batchTally demultiplexes a batch's acknowledgements per op: a batch is
+// all-or-nothing on the wire but not in outcome — op i succeeds once need
+// backups applied it and fails once need successes are impossible.
+type batchTally struct {
+	batch []pendingOp
+	ops   []opTally
+	open  int // ops not yet resolved
+}
+
+type opTally struct {
+	succ, fail int
+	firstErr   string
+	done       bool
+}
+
+func (t *batchTally) add(need, peers int, resp any, err error) (bool, error) {
+	var errs []string // per-op errors from a BatchAck; nil = all applied
+	if err == nil {
+		// Anything but a well-formed BatchAck fails the whole peer.
+		ba, ok := resp.(wire.BatchAck)
+		switch {
+		case !ok:
+			err = fmt.Errorf("semel: replicate answered %T, want BatchAck", resp)
+		case ba.Errs != nil && len(ba.Errs) != len(t.batch):
+			err = fmt.Errorf("semel: short batch ack (%d/%d)", len(ba.Errs), len(t.batch))
+		default:
+			errs = ba.Errs
+		}
+	}
+	for i := range t.ops {
+		o := &t.ops[i]
+		if o.done {
+			continue
+		}
+		opErr := ""
+		if err != nil {
+			opErr = err.Error()
+		} else if errs != nil {
+			opErr = errs[i]
+		}
+		if opErr == "" {
+			if o.succ++; o.succ >= need {
+				t.resolve(i, nil)
+			}
+			continue
+		}
+		o.fail++
+		if o.firstErr == "" {
+			o.firstErr = opErr
+		}
+		if o.fail > peers-need {
+			t.resolve(i, fmt.Errorf("semel: replication quorum lost (%d/%d failed): %s", o.fail, peers, o.firstErr))
+		}
+	}
+	return t.open == 0, nil
+}
+
+func (t *batchTally) resolve(i int, err error) {
+	t.ops[i].done = true
+	t.open--
+	t.batch[i].ack <- err
+}
+
+// finish resolves the ops fanOut left open (directory error, no backups).
+func (t *batchTally) finish(err error) {
+	for i := range t.ops {
+		if !t.ops[i].done {
+			t.resolve(i, err)
+		}
+	}
+}
+
+// ---- the fan-out ----
+
+// replicationSendTimeout bounds background replication deliveries that
+// continue after the synchronous f-ack wait has been satisfied.
+const replicationSendTimeout = 30 * time.Second
+
+// ReplicateToBackups delivers msg to this shard's backups and returns once
+// f of the 2f backups acknowledged — the relaxed majority rule of §3.2 and
+// Figure 5. Remaining deliveries continue in the background.
+func (s *Server) ReplicateToBackups(ctx context.Context, msg any) error {
+	got, failed := 0, 0
+	return s.fanOut(ctx, msg, func(need, peers int, _ any, err error) (bool, error) {
+		if err == nil {
+			got++
+			return got >= need, nil
+		}
+		failed++
+		if failed > peers-need {
+			return true, fmt.Errorf("semel: replication quorum lost (%d/%d failed)", failed, peers)
+		}
+		return false, nil
+	})
+}
+
+// A tally folds one backup's reply into a fan-out's outcome (need
+// acknowledgements out of peers backups). It reports whether the outcome is
+// settled and, once it is, the error fanOut returns.
+type tally func(need, peers int, resp any, err error) (settled bool, result error)
+
+// fanOut is the one f-of-2f replication fan-out: it sends msg in a
+// Replicated envelope to every backup on the parked sender pool and feeds
+// the replies to t until t settles (by the last reply at the latest). Only
+// the wait honours ctx; stragglers finish in the background.
+func (s *Server) fanOut(ctx context.Context, msg any, t tally) error {
 	rs, err := s.opt.Dir.Shard(s.opt.Shard)
 	if err != nil {
-		for _, p := range batch {
-			p.ack <- err
-		}
-		return
+		return err
 	}
-	var peers []string
-	for _, a := range rs.Replicas() {
-		if a != s.opt.Addr {
-			peers = append(peers, a)
-		}
+	// A replica the directory no longer names primary has been deposed: its
+	// records would carry the new regime's epoch and slip past the
+	// receivers' stale-epoch fence (handleReplicated) into the new primary.
+	if rs.Primary != s.opt.Addr {
+		return ErrNotPrimary
 	}
-	need := rs.F()
-	if need > len(peers) {
-		need = len(peers)
-	}
+	peers := slices.DeleteFunc(rs.Replicas(), func(a string) bool { return a == s.opt.Addr })
+	need := min(rs.F(), len(peers))
 	if need == 0 {
-		for _, p := range batch {
-			p.ack <- nil
+		return nil
+	}
+	// The caller's propagated deadline caps the sends: once the coordinator
+	// has given up on the write, backups should not keep burning cycles on
+	// its replication (stragglers beyond the f+1 quorum are repaired by
+	// anti-entropy either way).
+	sendTimeout := replicationSendTimeout
+	if dl, ok := ctx.Deadline(); ok {
+		until := time.Until(dl)
+		if until <= 0 {
+			return transport.ErrDeadlineExceeded
 		}
-		return
+		sendTimeout = min(sendTimeout, until)
 	}
-	ops := make([]wire.DataOp, len(batch))
-	for i, p := range batch {
-		ops[i] = p.op
-	}
-	env := wire.Replicated{Epoch: rs.Epoch, Msg: wire.ReplicateData{Ops: ops}}
-	// Sends must outlive any caller: they are durability traffic (see
-	// ReplicateToBackups). The flush loop itself only waits until every op
-	// is resolved, then hands the stragglers to a drain goroutine.
-	sendCtx, cancelSends := context.WithTimeout(context.Background(), replicationSendTimeout)
-	ackStart := time.Now()
-	results := make(chan peerResult, len(peers))
+	// The sends are durability traffic and must outlive the caller: a
+	// client that cancels its context right after its call returns would
+	// otherwise silently kill the delivery to the remaining backups,
+	// leaving them permanently short of acknowledged operations. Only the
+	// *wait* below honours the caller's context. Identity and causality
+	// cross the detach; the caller's ledger does not — it may be released
+	// before the last backup answers.
+	f := &fanout{env: wire.Replicated{Epoch: rs.Epoch, Msg: msg}, replies: make(chan replReply, len(peers))}
+	f.ctx, f.cancel = context.WithTimeout(obs.ReqFrom(ctx).Detached(), sendTimeout)
+	f.pending.Store(int32(len(peers)))
+	start := time.Now()
 	for _, p := range peers {
-		go func(p string) {
-			resp, err := s.opt.Net.Call(sendCtx, p, env)
-			if err != nil {
-				results <- peerResult{err: err}
-				return
-			}
-			// Anything but a well-formed BatchAck fails the whole peer.
-			ba, ok := resp.(wire.BatchAck)
-			switch {
-			case !ok:
-				results <- peerResult{err: fmt.Errorf("semel: replicate answered %T, want BatchAck", resp)}
-			case ba.Errs != nil && len(ba.Errs) != len(ops):
-				results <- peerResult{err: fmt.Errorf("semel: short batch ack (%d/%d)", len(ba.Errs), len(ops))}
-			default:
-				results <- peerResult{errs: ba.Errs}
-			}
-		}(p)
+		s.dispatchRepl(replJob{f: f, addr: p})
 	}
-	succ := make([]int, len(batch))
-	fail := make([]int, len(batch))
-	firstErr := make([]string, len(batch))
-	resolved := make([]bool, len(batch))
-	unresolved := len(batch)
-	replied := 0
-	for unresolved > 0 && replied < len(peers) {
-		r := <-results
-		replied++
-		for i := range batch {
-			if resolved[i] {
+	for {
+		select {
+		case r := <-f.replies:
+			settled, result := t(need, len(peers), r.resp, r.err)
+			if !settled {
 				continue
 			}
-			opErr := ""
-			if r.err != nil {
-				opErr = r.err.Error()
-			} else if r.errs != nil && r.errs[i] != "" {
-				opErr = r.errs[i]
+			if result == nil {
+				// Time-to-quorum is the replication lag a committing write
+				// experiences, and the repl-ack stage of whichever
+				// transaction is blocked on this call (its ledger rides ctx).
+				waited := time.Since(start)
+				s.om.replAck.Observe(int64(waited))
+				obs.AttributeStage(ctx, obs.StageReplAck, waited)
 			}
-			if opErr == "" {
-				succ[i]++
-				if succ[i] >= need {
-					resolved[i] = true
-					unresolved--
-					batch[i].ack <- nil
-				}
-				continue
-			}
-			fail[i]++
-			if firstErr[i] == "" {
-				firstErr[i] = opErr
-			}
-			if fail[i] > len(peers)-need {
-				resolved[i] = true
-				unresolved--
-				batch[i].ack <- fmt.Errorf("semel: replication quorum lost (%d/%d failed): %s", fail[i], len(peers), firstErr[i])
-			}
+			return result
+		case <-ctx.Done():
+			return ctx.Err()
 		}
 	}
-	s.om.replAck.ObserveSince(ackStart)
-	if replied < len(peers) {
-		// Let the remaining sends finish in the background, then release
-		// their context.
-		remaining := len(peers) - replied
-		go func() {
-			for i := 0; i < remaining; i++ {
-				<-results
+}
+
+// fanout is one envelope's delivery to every backup; the last send to
+// finish cancels ctx.
+type fanout struct {
+	env     wire.Replicated
+	ctx     context.Context
+	cancel  context.CancelFunc
+	pending atomic.Int32
+	replies chan replReply // buffered for every backup, so a send never blocks
+}
+
+type replReply struct {
+	resp any
+	err  error
+}
+
+// replJob is one backup delivery queued on the sender pool.
+type replJob struct {
+	f    *fanout
+	addr string
+}
+
+// dispatchRepl hands a send to an idle parked sender, or spawns a new one
+// when all are busy — so a slow backup only ever ties up its own sender,
+// never queues behind one. A fresh goroutine starts on a 2 KiB stack, and
+// one send drives the whole backup dispatch inline on the in-process bus —
+// deep enough to pay several stack growths per operation; reused senders
+// keep their grown stacks warm.
+func (s *Server) dispatchRepl(j replJob) {
+	select {
+	case s.replJobs <- j:
+	default:
+		go s.replSender(j)
+	}
+}
+
+// replSenderIdle is how long a parked sender waits for more work before
+// exiting; long enough to stay warm across steady traffic. Close stops
+// parked senders at once.
+const replSenderIdle = time.Second
+
+func (s *Server) replSender(j replJob) {
+	s.runRepl(j)
+	t := time.NewTimer(replSenderIdle)
+	defer t.Stop()
+	for {
+		select {
+		case j := <-s.replJobs:
+			s.runRepl(j)
+			if !t.Stop() {
+				<-t.C
 			}
-			cancelSends()
-		}()
-	} else {
-		cancelSends()
+			t.Reset(replSenderIdle)
+		case <-t.C:
+			return
+		case <-s.stop:
+			return
+		}
+	}
+}
+
+func (s *Server) runRepl(j replJob) {
+	f := j.f
+	resp, err := s.opt.Net.Call(f.ctx, j.addr, f.env)
+	f.replies <- replReply{resp, err}
+	if f.pending.Add(-1) == 0 {
+		f.cancel()
 	}
 }

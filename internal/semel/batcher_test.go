@@ -104,11 +104,16 @@ func newTestBatcher(t *testing.T, net transport.Client, lim batchLimits) *batche
 		t.Fatal(err)
 	}
 	s := &Server{
-		opt: ServerOptions{Addr: "p", Shard: 0, Dir: dir, Net: net},
-		reg: obs.NewRegistry(),
+		opt:      ServerOptions{Addr: "p", Shard: 0, Dir: dir, Net: net},
+		reg:      obs.NewRegistry(),
+		stop:     make(chan struct{}),
+		replJobs: make(chan replJob),
 	}
 	b := newBatcher(s, lim)
-	t.Cleanup(b.close)
+	t.Cleanup(func() {
+		b.close()
+		close(s.stop)
+	})
 	return b
 }
 

@@ -71,7 +71,7 @@ func (c *Client) call(ctx context.Context, key []byte, req any) (any, error) {
 		defer func() {
 			c.spans.Add(obs.SpanRecord{
 				TraceID: id, SpanID: id,
-				Node: c.spans.Node(), Name: spanName(req),
+				Node: c.spans.Node(), Name: routeNames.of(req).name,
 				Start: start, End: c.clk.Now().Ticks,
 			})
 		}()
