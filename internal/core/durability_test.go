@@ -16,6 +16,7 @@ import (
 	"repro/internal/clock"
 	"repro/internal/faults"
 	"repro/internal/milana"
+	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
@@ -439,6 +440,82 @@ func TestStressWALFsyncMutationConvicted(t *testing.T) {
 		t.Fatalf("fsync-skipping mutation not convicted: counter=%d of %d acked survived whole-shard amnesia kill", got, want)
 	}
 	t.Logf("convicted: counter=%d after restart, %d increments were acknowledged", got, want)
+}
+
+// quorumLossNet is a primary's view of its shard while armed: backup down
+// fails every delivery, and backup slow holds each one until its context
+// ends — so no prepare can reach f = 1 backup before its deadline.
+type quorumLossNet struct {
+	transport.Client
+	armed      *atomic.Bool
+	down, slow string
+}
+
+func (n quorumLossNet) Call(ctx context.Context, addr string, req any) (any, error) {
+	if n.armed.Load() {
+		switch addr {
+		case n.down:
+			return nil, errors.New("injected: backup down")
+		case n.slow:
+			<-ctx.Done()
+			return nil, ctx.Err()
+		}
+	}
+	return n.Client.Call(ctx, addr, req)
+}
+
+// TestDurabilityQuorumLostPrepareAborts is the cold-restart half of the
+// overlapped prepare's failure rule. The primary appends the prepare to its
+// own log while the backup fan-out runs; when the fan-out then fails, the
+// vote is NO — and the log must say so too. Otherwise replay finds a lone
+// prepared single-shard record and §4.5's rule commits, after restart, a
+// transaction its client was told aborted.
+func TestDurabilityQuorumLostPrepareAborts(t *testing.T) {
+	primary := Addr(0, 0)
+	var armed atomic.Bool
+	c := newTestCluster(t, ClusterOptions{
+		Shards: 1, Replicas: 3,
+		LeaseDuration:       -1,
+		AntiEntropyInterval: -1,
+		PreparedTimeout:     time.Hour, // the test runs the only sweep
+		WALRoot:             t.TempDir(),
+		NetWrapper: func(name string, inner transport.Client) transport.Client {
+			if name != primary {
+				return inner
+			}
+			return quorumLossNet{Client: inner, armed: &armed, down: Addr(0, 1), slow: Addr(0, 2)}
+		},
+	})
+	key := []byte("quorum-lost:k")
+	id := wire.TxnID{Client: 1, Seq: 1}
+	armed.Store(true)
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	resp, err := c.Server(primary).Serve(ctx, wire.PrepareRequest{
+		ID: id, CommitTs: c.ClientClock(1).Now(), Participants: []int{0},
+		WriteSet: []wire.KV{{Key: key, Val: []byte("never")}},
+	})
+	cancel()
+	armed.Store(false)
+	if err != nil || resp.(wire.PrepareResponse).OK {
+		t.Fatalf("prepare without a quorum answered %+v, %v; want a NO vote", resp, err)
+	}
+
+	if err := c.KillServer(primary); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.RestartServer(primary); err != nil {
+		t.Fatal(err)
+	}
+	mgr := c.Server(primary).Manager()
+	if res := mgr.SweepPrepared(context.Background(), 0); res.Terminated() != 0 || res.StillPending != 0 {
+		t.Fatalf("sweep after restart found the transaction in doubt: %+v", res)
+	}
+	if got := mgr.Status(id); got != wire.StatusAborted {
+		t.Fatalf("status after restart and sweep = %v, want aborted", got)
+	}
+	if _, _, found, _ := c.Backend(primary).Latest(key); found {
+		t.Fatal("the aborted transaction's write set is present after restart")
+	}
 }
 
 // TestReplicateDataDupAfterRecoveryIdempotent is the regression test for

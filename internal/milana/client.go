@@ -13,6 +13,7 @@ import (
 	"repro/internal/clock"
 	"repro/internal/cluster"
 	"repro/internal/obs"
+	"repro/internal/park"
 	"repro/internal/resilience"
 	"repro/internal/transport"
 	"repro/internal/wire"
@@ -104,6 +105,10 @@ type Client struct {
 	// retry-immediately behavior (§5.2).
 	retrier *resilience.Retrier
 
+	// notifier sends asynchronous phase-two decisions on parked goroutines
+	// (see decisionJob).
+	notifier *park.Pool[decisionJob]
+
 	seq atomic.Uint64
 
 	mu          sync.Mutex
@@ -128,6 +133,7 @@ type Client struct {
 // hold the watermark down, including ones that have decided nothing yet).
 func NewClient(clk clock.Clock, net transport.Client, dir *cluster.Directory) *Client {
 	c := &Client{clk: clk, net: net, dir: dir, LocalValidation: true, cache: newValueCache()}
+	c.notifier = park.New(c.notify)
 	c.lastDecided = clk.Now()
 	return c
 }
@@ -549,56 +555,70 @@ func (t *Txn) commit2PC(ctx context.Context) error {
 	}
 	sort.Ints(participants)
 
-	// Phase one: prepare at every participant primary, in parallel.
+	// Phase one: prepare at every participant primary, in parallel — the
+	// last one on this goroutine, so a single-shard transaction starts no
+	// goroutine (a fresh one would run the whole server call on a 2 KiB
+	// stack and pay its growth on every transaction).
 	type vote struct {
-		ok   bool
-		code wire.AbortReason
-		err  error
+		shard int
+		ok    bool
+		code  wire.AbortReason
+		err   error
 	}
 	votes := make(chan vote, len(participants))
-	for _, shard := range participants {
-		shard := shard
+	prepare := func(shard int) {
+		addr, err := t.c.dir.Primary(cluster.ShardID(shard))
+		if err != nil {
+			votes <- vote{shard: shard, err: err}
+			return
+		}
 		ss := byShard[shard]
-		go func() {
-			addr, err := t.c.dir.Primary(cluster.ShardID(shard))
-			if err != nil {
-				votes <- vote{err: err}
-				return
-			}
-			req := wire.PrepareRequest{
-				ID:           t.id,
-				CommitTs:     commitTs,
-				ReadSet:      ss.reads,
-				WriteSet:     ss.writes,
-				Participants: participants,
-			}
-			resp, err := t.c.net.Call(ctx, addr, req)
-			if err != nil {
-				votes <- vote{err: err}
-				return
-			}
-			p, ok := resp.(wire.PrepareResponse)
-			if !ok {
-				votes <- vote{err: fmt.Errorf("milana: unexpected response %T", resp)}
-				return
-			}
-			votes <- vote{ok: p.OK, code: p.Code}
-		}()
+		req := wire.PrepareRequest{
+			ID:           t.id,
+			CommitTs:     commitTs,
+			ReadSet:      ss.reads,
+			WriteSet:     ss.writes,
+			Participants: participants,
+		}
+		resp, err := t.c.net.Call(ctx, addr, req)
+		if err != nil {
+			votes <- vote{shard: shard, err: err}
+			return
+		}
+		p, ok := resp.(wire.PrepareResponse)
+		if !ok {
+			votes <- vote{shard: shard, err: fmt.Errorf("milana: unexpected response %T", resp)}
+			return
+		}
+		votes <- vote{shard: shard, ok: p.OK, code: p.Code}
+	}
+	for i, shard := range participants {
+		if i < len(participants)-1 {
+			go prepare(shard)
+		} else {
+			prepare(shard)
+		}
 	}
 	commit := true
 	explicitAbort := false
 	var firstErr error
 	reason := wire.AbortNone
+	// decide lists the participants phase two must reach: all but those that
+	// voted ABORT, which hold nothing to decide (a NO vote leaves no
+	// prepared record behind).
+	decide := make([]int, 0, len(participants))
 	for range participants {
 		v := <-votes
 		if v.err != nil && firstErr == nil {
 			firstErr = v.err
 		}
+		if v.err == nil && !v.ok {
+			explicitAbort = true // a participant voted ABORT
+		} else {
+			decide = append(decide, v.shard)
+		}
 		if v.err != nil || !v.ok {
 			commit = false
-			if v.err == nil {
-				explicitAbort = true // a participant voted ABORT
-			}
 			if v.code != wire.AbortNone && reason == wire.AbortNone {
 				reason = v.code
 			}
@@ -631,26 +651,17 @@ func (t *Txn) commit2PC(ctx context.Context) error {
 	}
 	// Phase two: report the outcome, then notify participants — by
 	// default asynchronously (§4.2: "reports the outcome to the
-	// application and then asynchronously notifies all primaries").
-	// Capture the decision context before the async dispatch: the Txn's
-	// fields are single-goroutine, so the closure must not read them.
-	dctx := ctx
-	if !t.c.SyncDecisions {
-		dctx = t.req.Detached()
-	}
-	notify := func() {
-		for _, shard := range participants {
-			addr, err := t.c.dir.Primary(cluster.ShardID(shard))
-			if err != nil {
-				continue
-			}
-			_, _ = t.c.net.Call(dctx, addr, wire.DecisionRequest{ID: t.id, Commit: commit})
-		}
-	}
-	if t.c.SyncDecisions {
-		notify()
-	} else {
-		go notify()
+	// application and then asynchronously notifies all primaries"), on a
+	// parked notifier and a detached context. The job carries copies: the
+	// Txn's fields are single-goroutine.
+	j := decisionJob{ctx: ctx, participants: decide, id: t.id, commit: commit}
+	switch {
+	case len(decide) == 0:
+	case t.c.SyncDecisions:
+		t.c.notify(j)
+	default:
+		j.ctx = t.req.Detached()
+		t.c.notifier.Go(j)
 	}
 
 	t.c.noteDecided(commitTs)
@@ -681,6 +692,28 @@ func (t *Txn) commit2PC(ctx context.Context) error {
 		}
 	}
 	return nil
+}
+
+// decisionJob is one phase-two notification: the decision for id, sent to
+// the primary of every participant shard.
+type decisionJob struct {
+	ctx          context.Context
+	participants []int
+	id           wire.TxnID
+	commit       bool
+}
+
+// notify delivers a decision to every participant primary, ignoring
+// failures: a participant that misses it terminates the transaction through
+// its sweeper (§4.5).
+func (c *Client) notify(j decisionJob) {
+	for _, shard := range j.participants {
+		addr, err := c.dir.Primary(cluster.ShardID(shard))
+		if err != nil {
+			continue
+		}
+		_, _ = c.net.Call(j.ctx, addr, wire.DecisionRequest{ID: j.id, Commit: j.commit})
+	}
 }
 
 // RunTransaction executes fn inside a transaction, retrying on conflict
@@ -762,8 +795,9 @@ func (t *Txn) GetMany(ctx context.Context, keys [][]byte) (map[string][]byte, er
 		return out, nil
 	}
 	// Fan the per-shard RPCs out concurrently — a cross-shard timeline read
-	// costs one (slowest) round trip, not the sum — then fold the responses
-	// into the read set serially (Txn state is single-goroutine).
+	// costs one (slowest) round trip, not the sum; the first shard's on this
+	// goroutine, so a single-shard read starts no goroutine — then fold the
+	// responses into the read set serially (Txn state is single-goroutine).
 	type shardFetch struct {
 		shard      cluster.ShardID
 		keys       [][]byte
@@ -776,30 +810,34 @@ func (t *Txn) GetMany(ctx context.Context, keys [][]byte) (map[string][]byte, er
 		fetches = append(fetches, shardFetch{shard: shard, keys: shardKeys})
 	}
 	ctx = t.rpcCtx(ctx)
+	fetch := func(f *shardFetch) {
+		addr, anyReplica, err := t.c.readTarget(f.shard)
+		if err != nil {
+			f.err = err
+			return
+		}
+		f.anyReplica = anyReplica
+		resp, err := t.c.net.Call(ctx, addr, wire.MultiGetRequest{Keys: f.keys, At: t.begin, AnyReplica: anyReplica})
+		if err != nil {
+			f.err = err
+			return
+		}
+		mg, ok := resp.(wire.MultiGetResponse)
+		if !ok || len(mg.Items) != len(f.keys) {
+			f.err = fmt.Errorf("milana: malformed multi-get response %T", resp)
+			return
+		}
+		f.resp = mg
+	}
 	var wg sync.WaitGroup
-	for i := range fetches {
+	for i := range fetches[1:] {
 		wg.Add(1)
 		go func(f *shardFetch) {
 			defer wg.Done()
-			addr, anyReplica, err := t.c.readTarget(f.shard)
-			if err != nil {
-				f.err = err
-				return
-			}
-			f.anyReplica = anyReplica
-			resp, err := t.c.net.Call(ctx, addr, wire.MultiGetRequest{Keys: f.keys, At: t.begin, AnyReplica: anyReplica})
-			if err != nil {
-				f.err = err
-				return
-			}
-			mg, ok := resp.(wire.MultiGetResponse)
-			if !ok || len(mg.Items) != len(f.keys) {
-				f.err = fmt.Errorf("milana: malformed multi-get response %T", resp)
-				return
-			}
-			f.resp = mg
-		}(&fetches[i])
+			fetch(f)
+		}(&fetches[i+1])
 	}
+	fetch(&fetches[0])
 	wg.Wait()
 	for _, f := range fetches {
 		if f.err != nil {

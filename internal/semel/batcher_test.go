@@ -13,6 +13,7 @@ import (
 	"repro/internal/clock"
 	"repro/internal/cluster"
 	"repro/internal/obs"
+	"repro/internal/park"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -104,15 +105,16 @@ func newTestBatcher(t *testing.T, net transport.Client, lim batchLimits) *batche
 		t.Fatal(err)
 	}
 	s := &Server{
-		opt:      ServerOptions{Addr: "p", Shard: 0, Dir: dir, Net: net},
-		reg:      obs.NewRegistry(),
-		stop:     make(chan struct{}),
-		replJobs: make(chan replJob),
+		opt:  ServerOptions{Addr: "p", Shard: 0, Dir: dir, Net: net},
+		reg:  obs.NewRegistry(),
+		stop: make(chan struct{}),
 	}
+	s.senders = park.New(s.runRepl)
 	b := newBatcher(s, lim)
 	t.Cleanup(func() {
 		b.close()
 		close(s.stop)
+		s.senders.Close()
 	})
 	return b
 }

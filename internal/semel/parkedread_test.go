@@ -1,0 +1,174 @@
+package semel
+
+import (
+	"context"
+	"errors"
+	"runtime"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/clock"
+	"repro/internal/cluster"
+	"repro/internal/storage"
+	"repro/internal/wire"
+)
+
+// noNet is the transport of a replica with no peers: nothing may call out.
+type noNet struct{}
+
+func (noNet) Call(context.Context, string, any) (any, error) {
+	return nil, errors.New("noNet: unexpected call")
+}
+
+var (
+	parkKey   = []byte("k")
+	oldTs     = clock.Timestamp{Ticks: 10, Client: 1}
+	pendingTs = clock.Timestamp{Ticks: 100, Client: 1}
+	readTs    = clock.Timestamp{Ticks: 150, Client: 2}
+	pendingID = wire.TxnID{Client: 1, Seq: 1}
+)
+
+// newParkedReadServer builds the lone replica of a one-replica shard with
+// parkKey committed as "old" and then held by a transaction prepared to
+// write "new" at pendingTs, which nothing decides.
+func newParkedReadServer(t *testing.T) *Server {
+	t.Helper()
+	dir, err := cluster.New([]cluster.ReplicaSet{{Primary: "p"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewServer(ServerOptions{
+		Addr: "p", Shard: 0, Primary: true,
+		LeaseDuration: -1, AntiEntropyInterval: -1,
+		Backend: storage.NewDRAM(), Net: noNet{}, Dir: dir,
+		Clock: clock.NewPerfect(clock.NewSystemSource(), 1000),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	ctx := context.Background()
+	if _, err := srv.Serve(ctx, wire.PutRequest{Key: parkKey, Val: []byte("old"), Version: oldTs}); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := srv.Serve(ctx, wire.PrepareRequest{
+		ID: pendingID, CommitTs: pendingTs, Participants: []int{0},
+		WriteSet: []wire.KV{{Key: parkKey, Val: []byte("new")}},
+	})
+	if err != nil || !resp.(wire.PrepareResponse).OK {
+		t.Fatalf("prepare: %+v %v", resp, err)
+	}
+	return srv
+}
+
+// waitParked waits until n reads are parked on a decision.
+func waitParked(t *testing.T, n int) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if strings.Count(string(buf[:runtime.Stack(buf, true)]), "semel.(*Server).awaitDecision") >= n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("fewer than %d reads ever parked", n)
+		}
+	}
+}
+
+// TestParkedGetSeesDecision: a read at or after a prepared timestamp parks
+// on the transaction's decision and answers with the decided value — the new
+// one on commit, the old one on abort — and no prepared bit.
+func TestParkedGetSeesDecision(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		commit bool
+		val    string
+		ver    clock.Timestamp
+	}{
+		{"commit", true, "new", pendingTs},
+		{"abort", false, "old", oldTs},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv := newParkedReadServer(t)
+			type result struct {
+				resp any
+				err  error
+			}
+			done := make(chan result, 1)
+			go func() {
+				resp, err := srv.Serve(context.Background(), wire.GetRequest{Key: parkKey, At: readTs})
+				done <- result{resp, err}
+			}()
+			waitParked(t, 1)
+			if _, err := srv.Serve(context.Background(), wire.DecisionRequest{ID: pendingID, Commit: tc.commit}); err != nil {
+				t.Fatal(err)
+			}
+			r := <-done
+			if r.err != nil {
+				t.Fatal(r.err)
+			}
+			g := r.resp.(wire.GetResponse)
+			if !g.Found || string(g.Val) != tc.val || g.Version != tc.ver || g.PreparedAtOrBefore {
+				t.Fatalf("parked read answered %+v, want %q@%v with no prepared bit", g, tc.val, tc.ver)
+			}
+		})
+	}
+}
+
+// TestParkedReadBounded: without a decision, a parked read answers with the
+// prepared bit after preparedReadWait, or as soon as its context ends if
+// that comes first — for a MultiGet's per-key workers too.
+func TestParkedReadBounded(t *testing.T) {
+	srv := newParkedReadServer(t)
+	wantPrepared := func(t *testing.T, g wire.GetResponse) {
+		t.Helper()
+		if !g.PreparedAtOrBefore || string(g.Val) != "old" || g.Version != oldTs {
+			t.Fatalf("undecided read answered %+v, want the old value with the prepared bit", g)
+		}
+	}
+	t.Run("bound", func(t *testing.T) {
+		start := time.Now()
+		resp, err := srv.Serve(context.Background(), wire.GetRequest{Key: parkKey, At: readTs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantPrepared(t, resp.(wire.GetResponse))
+		if waited := time.Since(start); waited < preparedReadWait {
+			t.Fatalf("read answered after %v, before the %v bound", waited, preparedReadWait)
+		}
+	})
+	ended, cancel := context.WithCancel(context.Background())
+	cancel()
+	t.Run("context-ended", func(t *testing.T) {
+		start := time.Now()
+		resp, err := srv.Serve(ended, wire.GetRequest{Key: parkKey, At: readTs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantPrepared(t, resp.(wire.GetResponse))
+		if waited := time.Since(start); waited >= preparedReadWait {
+			t.Fatalf("read with an ended context parked for %v", waited)
+		}
+	})
+	t.Run("multiget-context-ended", func(t *testing.T) {
+		start := time.Now()
+		resp, err := srv.Serve(ended, wire.MultiGetRequest{Keys: [][]byte{parkKey, []byte("other")}, At: readTs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantPrepared(t, resp.(wire.MultiGetResponse).Items[0])
+		if waited := time.Since(start); waited >= preparedReadWait {
+			t.Fatalf("multiget with an ended context parked for %v", waited)
+		}
+	})
+	t.Run("before-prepare", func(t *testing.T) {
+		resp, err := srv.Serve(context.Background(), wire.GetRequest{Key: parkKey, At: clock.Timestamp{Ticks: 50, Client: 2}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g := resp.(wire.GetResponse); g.PreparedAtOrBefore || string(g.Val) != "old" {
+			t.Fatalf("read below the prepared timestamp answered %+v", g)
+		}
+	})
+}
