@@ -518,6 +518,60 @@ func TestDurabilityQuorumLostPrepareAborts(t *testing.T) {
 	}
 }
 
+// TestDurabilityPromotedBackupLearnsDecision: a backup is amnesia-killed while
+// it holds an in-doubt prepare, restarts, learns the commit by replication,
+// and is then promoted. The key must stay writable: replay and the live
+// delivery take the same two transitions, so no prepared mark or stale
+// latestCommitted outlives the decision and wedges every later writer.
+func TestDurabilityPromotedBackupLearnsDecision(t *testing.T) {
+	c := newTestCluster(t, ClusterOptions{
+		Shards: 1, Replicas: 3,
+		AntiEntropyInterval: -1,
+		WALRoot:             t.TempDir(),
+	})
+	ctx := context.Background()
+	backup := Addr(0, 1)
+	key := []byte("promoted:k")
+	rec := wire.TxnRecord{
+		ID: wire.TxnID{Client: 7, Seq: 1}, CommitTs: c.ClientClock(7).Now(),
+		WriteSet: []wire.KV{{Key: key, Val: []byte("1")}}, Participants: []int{0},
+		Status: wire.StatusPrepared,
+	}
+	if _, err := c.Bus.Call(ctx, backup, wire.ReplicatePrepare{Record: rec}); err != nil {
+		t.Fatalf("delivering the prepare: %v", err)
+	}
+	if err := c.KillServer(backup); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.RestartServer(backup); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Bus.Call(ctx, backup, wire.ReplicateDecision{ID: rec.ID, Commit: true}); err != nil {
+		t.Fatalf("delivering the decision: %v", err)
+	}
+	if promoted, err := c.KillPrimary(ctx, 0); err != nil || promoted != backup {
+		t.Fatalf("promoted %q, %v; want %s", promoted, err, backup)
+	}
+
+	txc := c.NewTxnClient(1)
+	txc.SyncDecisions = true
+	rctx, cancel := context.WithTimeout(ctx, time.Second)
+	defer cancel()
+	if err := txc.RunTransaction(rctx, func(tx *milana.Txn) error {
+		raw, _, err := tx.Get(rctx, key)
+		if err != nil {
+			return err
+		}
+		n, _ := strconv.Atoi(string(raw))
+		return tx.Put(key, []byte(strconv.Itoa(n+1)))
+	}); err != nil {
+		t.Fatalf("read-modify-write on the promoted primary did not commit within 1 s: %v", err)
+	}
+	if val, _, _, _ := c.Backend(backup).Latest(key); string(val) != "2" {
+		t.Fatalf("value after the increment = %q, want 2", val)
+	}
+}
+
 // TestReplicateDataDupAfterRecoveryIdempotent is the regression test for
 // duplicate delivery straddling a crash: a ReplicateData the backup already
 // applied (and logged, and replayed at cold start) is re-delivered by the

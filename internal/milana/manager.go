@@ -9,6 +9,16 @@
 // merges replica transaction tables (Algorithm 2) and terminates in-doubt
 // transactions with the Cooperative Termination Protocol.
 //
+// A record may reach a replica by any route and in any order (§3.2): the
+// primary's client door (Prepare, Decision), or Learn — backup delivery,
+// anti-entropy, WAL replay, checkpoint install and the failover merge. Every
+// route ends in the same two state changes, the prepared transition
+// (prepareLocked) and the decided transition (decide), so a prepare and a
+// decision leave a replica in the same state whichever way they came.
+// Prepared marks live only where reads and validation consult them, on a
+// serving primary: Prepare arms its own, ArmPrepared arms the table when a
+// replica becomes primary, and no other route arms.
+//
 // The Client (client.go) is the application-facing transaction API: it
 // assigns begin/commit timestamps from the local precision clock, buffers
 // writes, reads from a consistent snapshot at ts_begin, validates read-only
@@ -30,7 +40,11 @@ import (
 	"repro/internal/wire"
 )
 
-// Host is the SEMEL server a Manager runs inside.
+// Host is the SEMEL server a Manager runs inside. Besides serving the
+// methods below, it hands the Manager every 2PC record that arrives other
+// than through the primary's client door — backup deliveries, anti-entropy
+// pulls, WAL replay and checkpoint install — through Learn, and calls
+// ArmPrepared whenever the replica becomes a serving primary.
 type Host interface {
 	// Backend is the replica's durable store.
 	Backend() storage.Backend
@@ -61,7 +75,7 @@ const decidedRetention = 60 * time.Second
 // keyMeta is the DRAM-only per-key state of §4.1. A prepared mark
 // (hasPrepared, preparedTs, preparedBy) also carries decided, a channel
 // closed when the mark is released, on which reads of the prepared version
-// park (see OnGet).
+// park (see OnGet). Only a serving primary holds marks (see ArmPrepared).
 type keyMeta struct {
 	latestRead      clock.Timestamp
 	latestCommitted clock.Timestamp
@@ -79,7 +93,7 @@ type txnState struct {
 	// persisted is closed once the Prepare that validated rec has its
 	// Persist outcome; vote and voteErr are then the answer every
 	// retransmitted copy of that prepare gets. nil for records that reached
-	// the table already durable (replication, replay, recovery).
+	// the table already durable, through Learn.
 	persisted chan struct{}
 	vote      wire.PrepareResponse
 	voteErr   error
@@ -257,6 +271,13 @@ func (m *Manager) LatestCommitted(key []byte) clock.Timestamp {
 func (m *Manager) Prepare(ctx context.Context, req wire.PrepareRequest) (wire.PrepareResponse, error) {
 	prepStart := time.Now()
 	defer func() { m.om.prepareNs.ObserveSince(prepStart) }()
+	rec := wire.TxnRecord{
+		ID:           req.ID,
+		CommitTs:     req.CommitTs,
+		WriteSet:     req.WriteSet,
+		Participants: req.Participants,
+		Status:       wire.StatusPrepared,
+	}
 	m.mu.Lock()
 	if st, ok := m.table[req.ID]; ok { // retransmitted prepare
 		m.mu.Unlock()
@@ -274,44 +295,45 @@ func (m *Manager) Prepare(ctx context.Context, req wire.PrepareRequest) (wire.Pr
 	}
 	if d, ok := m.decided[req.ID]; ok { // prepare after decision
 		m.mu.Unlock()
-		return wire.PrepareResponse{OK: d.status == wire.StatusCommitted}, nil
+		if d.status != wire.StatusCommitted {
+			return wire.PrepareResponse{OK: false}, nil
+		}
+		// The prepared transition: a commit that outran its prepare could
+		// apply no write set, so the prepare applies it.
+		rec.Status = wire.StatusCommitted
+		if err := m.decide(ctx, nil, rec); err != nil {
+			return wire.PrepareResponse{}, err
+		}
+		return wire.PrepareResponse{OK: true}, nil
 	}
 	valStart := time.Now()
 	reason, code, margin := m.validateLocked(req)
 	m.om.validateNs.ObserveSince(valStart)
 	obs.AttributeStage(ctx, obs.StageValidate, time.Since(valStart))
 	if reason != "" {
-		m.decided[req.ID] = decidedEntry{status: wire.StatusAborted, at: time.Now()}
+		m.decideLocked(wire.TxnRecord{ID: req.ID, Status: wire.StatusAborted})
 		m.mu.Unlock()
 		m.countAbort(code)
 		m.classifyAbort(code, margin)
 		return wire.PrepareResponse{OK: false, Reason: reason, Code: code}, nil
 	}
-	rec := wire.TxnRecord{
-		ID:           req.ID,
-		CommitTs:     req.CommitTs,
-		WriteSet:     req.WriteSet,
-		Participants: req.Participants,
-		Status:       wire.StatusPrepared,
-	}
-	m.markPreparedLocked(rec)
 	st := &txnState{rec: rec, preparedAt: time.Now(), persisted: make(chan struct{})}
-	m.table[req.ID] = st
-	m.om.preparedTxns.Set(int64(len(m.table)))
+	m.prepareLocked(st)
+	m.markPreparedLocked(rec)
 	m.mu.Unlock()
 
-	st.vote, st.voteErr = m.persistPrepare(ctx, rec)
+	st.vote, st.voteErr = m.persistPrepare(ctx, st)
 	close(st.persisted)
 	return st.vote, st.voteErr
 }
 
 // persistPrepare makes a validated, marked prepare durable and returns the
 // vote it earns.
-func (m *Manager) persistPrepare(ctx context.Context, rec wire.TxnRecord) (wire.PrepareResponse, error) {
+func (m *Manager) persistPrepare(ctx context.Context, st *txnState) (wire.PrepareResponse, error) {
 	// The prepared record must survive this process and this primary:
 	// persist it — local log and f of 2f backups together (Figure 4/5) —
 	// before voting.
-	err := m.host.Persist(ctx, wire.ReplicatePrepare{Record: rec})
+	err := m.host.Persist(ctx, wire.ReplicatePrepare{Record: st.rec})
 	if err == nil {
 		return wire.PrepareResponse{OK: true}, nil
 	}
@@ -323,16 +345,11 @@ func (m *Manager) persistPrepare(ctx context.Context, rec wire.TxnRecord) (wire.
 	// The record is in the local log but did not reach f backups. Voting
 	// NO is only safe once the log says so too: replayed alone, the prepare
 	// would let §4.5's single-shard rule commit a transaction its client
-	// was told aborted. Abort in memory first, log second — logging before
-	// the release would let a concurrent checkpoint cover the abort's LSN
-	// with a table image that still shows the transaction prepared.
-	m.mu.Lock()
-	m.releasePreparedLocked(rec)
-	delete(m.table, rec.ID)
-	m.decided[rec.ID] = decidedEntry{status: wire.StatusAborted, at: time.Now()}
-	m.om.preparedTxns.Set(int64(len(m.table)))
-	m.mu.Unlock()
-	if lerr := m.host.Persist(ctx, wire.ReplicateDecision{ID: rec.ID, Commit: false}); errors.Is(lerr, ErrNotLogged) {
+	// was told aborted. applyDecision aborts in memory first and logs
+	// second — logging before the release would let a concurrent checkpoint
+	// cover the abort's LSN with a table image that still shows the
+	// transaction prepared.
+	if lerr := m.applyDecision(ctx, st, wire.ReplicateDecision{ID: st.rec.ID}); errors.Is(lerr, ErrNotLogged) {
 		return wire.PrepareResponse{}, lerr
 	}
 	m.countAbort(wire.AbortOther)
@@ -394,8 +411,8 @@ func tickMargin(winner, loser clock.Timestamp) time.Duration {
 
 // markPreparedLocked arms rec's prepared marks on its write set; every site
 // that sets a mark goes through it. A mark another transaction still holds
-// (only recovery can overwrite one) is released first, so reads parked on it
-// wake and look again.
+// (only ArmPrepared can overwrite one) is released first, so reads parked on
+// it wake and look again.
 func (m *Manager) markPreparedLocked(rec wire.TxnRecord) {
 	for _, kv := range rec.WriteSet {
 		km := m.metaLocked(kv.Key)
@@ -412,11 +429,70 @@ func (m *Manager) markPreparedLocked(rec wire.TxnRecord) {
 	}
 }
 
-// releasePreparedLocked clears prepared marks owned by rec and wakes the
-// reads parked on them.
-func (m *Manager) releasePreparedLocked(rec wire.TxnRecord) {
+// prepareLocked is the prepared transition, under m.mu: it inserts st into
+// the table unless its transaction is already there or already decided, and
+// returns the known decision, or StatusPrepared. A known commit's write set
+// is the caller's to apply, through decide once m.mu is released: the
+// decision that outran this prepare had none to apply.
+func (m *Manager) prepareLocked(st *txnState) wire.TxnStatus {
+	if d, ok := m.decided[st.rec.ID]; ok {
+		return d.status
+	}
+	if _, ok := m.table[st.rec.ID]; !ok {
+		m.table[st.rec.ID] = st
+		m.om.preparedTxns.Set(int64(len(m.table)))
+	}
+	return wire.StatusPrepared
+}
+
+// decide is the decided transition for rec.ID with rec.Status. st is the
+// table entry the caller found for the transaction (nil if none): its record,
+// not rec, says what the transaction wrote. On commit the write set is
+// applied first — so a read parked on a mark wakes to the decided value, and
+// a decision's log record follows its apply — then decideLocked runs. A
+// prepare that reaches the table while the commit is being applied has its
+// write set applied too before the decision is recorded, so a decision never
+// drops a write set it raced with.
+func (m *Manager) decide(ctx context.Context, st *txnState, rec wire.TxnRecord) error {
+	for {
+		if st != nil {
+			status := rec.Status
+			rec = st.rec
+			rec.Status = status
+		}
+		if rec.Status == wire.StatusCommitted {
+			// Apply writes in parallel: they pack into shared flash pages, so
+			// the prepared window (during which validations against these
+			// keys abort) stays near one device write, not one per key.
+			if err := m.applyWriteSet(ctx, rec); err != nil {
+				return fmt.Errorf("milana: applying commit of %v: %w", rec.ID, err)
+			}
+		}
+		m.mu.Lock()
+		cur := m.table[rec.ID]
+		if cur == nil || cur == st {
+			m.decideLocked(rec)
+			m.mu.Unlock()
+			return nil
+		}
+		m.mu.Unlock()
+		st = cur
+	}
+}
+
+// decideLocked records rec's decision, under m.mu: it releases the prepared
+// marks rec's transaction holds and wakes the reads parked on them, raises
+// latestCommitted on a commit, drops the table entry and remembers the
+// outcome. It touches only key state that already exists — creating or
+// priming an entry would read the device under m.mu, and a key with no entry
+// is primed on first touch from a backend that already holds the write set.
+// It is the only function that deletes from the table or records a decision.
+func (m *Manager) decideLocked(rec wire.TxnRecord) {
 	for _, kv := range rec.WriteSet {
-		km := m.metaLocked(kv.Key)
+		km := m.keys[string(kv.Key)]
+		if km == nil {
+			continue
+		}
 		if km.hasPrepared && km.preparedBy == rec.ID {
 			km.hasPrepared = false
 			km.preparedTs = clock.Timestamp{}
@@ -424,67 +500,48 @@ func (m *Manager) releasePreparedLocked(rec wire.TxnRecord) {
 			close(km.decided)
 			km.decided = nil
 		}
-	}
-}
-
-// Decision is 2PC phase two on a participant primary.
-func (m *Manager) Decision(ctx context.Context, req wire.DecisionRequest) (wire.DecisionResponse, error) {
-	m.mu.Lock()
-	st, ok := m.table[req.ID]
-	if !ok {
-		m.mu.Unlock() // duplicate decision or unknown txn: idempotent
-		return wire.DecisionResponse{}, nil
-	}
-	m.mu.Unlock()
-	if err := m.applyDecision(ctx, st.rec, req.Commit); err != nil {
-		return wire.DecisionResponse{}, err
-	}
-	return wire.DecisionResponse{}, nil
-}
-
-// applyDecision commits or aborts a prepared transaction on this replica's
-// shard: apply the write set (on commit), update key metadata, record the
-// decision, and replicate it to the backups.
-func (m *Manager) applyDecision(ctx context.Context, rec wire.TxnRecord, commit bool) error {
-	decStart := time.Now()
-	defer func() { m.om.decisionNs.ObserveSince(decStart) }()
-	status := wire.StatusAborted
-	if commit {
-		status = wire.StatusCommitted
-		// Apply writes in parallel: they pack into shared flash pages, so
-		// the prepared window (during which validations against these
-		// keys abort) stays near one device write, not one per key.
-		if err := m.applyWriteSet(ctx, rec); err != nil {
-			return fmt.Errorf("milana: applying commit of %v: %w", rec.ID, err)
-		}
-	}
-	m.mu.Lock()
-	m.releasePreparedLocked(rec)
-	if commit {
-		for _, kv := range rec.WriteSet {
-			km := m.metaLocked(kv.Key)
-			if rec.CommitTs.After(km.latestCommitted) {
-				km.latestCommitted = rec.CommitTs
-			}
+		if rec.Status == wire.StatusCommitted && rec.CommitTs.After(km.latestCommitted) {
+			km.latestCommitted = rec.CommitTs
 		}
 	}
 	delete(m.table, rec.ID)
-	m.decided[rec.ID] = decidedEntry{status: status, at: time.Now()}
-	m.om.preparedTxns.Set(int64(len(m.table)))
+	m.decided[rec.ID] = decidedEntry{status: rec.Status, at: time.Now()}
 	m.pruneDecidedLocked()
-	m.mu.Unlock()
+	m.om.preparedTxns.Set(int64(len(m.table)))
+}
 
-	// Durability before the decision is acknowledged on ANY path it arrived
-	// by (client door, CTP sweeper, peer notification, recovery merge) —
-	// and strictly AFTER the state change above, because the WAL checkpoint
-	// assumes state gathered after reading DurableLSN covers every durable
-	// record: logging first would let a concurrent checkpoint GC the
-	// prepare's write set while the backend image predates the apply. The
-	// same Persist propagates the decision so backups apply the write set;
-	// like prepares, only f acknowledgements are required and order with
-	// other records is irrelevant (Figure 5).
-	if err := m.host.Persist(ctx, wire.ReplicateDecision{ID: rec.ID, Commit: commit}); err != nil {
-		return fmt.Errorf("milana: persisting decision of %v: %w", rec.ID, err)
+// Decision is 2PC phase two on a participant primary. A decision for a
+// transaction this primary never prepared (a CTP abort that outran the
+// prepare) is remembered, so the late prepare follows it.
+func (m *Manager) Decision(ctx context.Context, req wire.DecisionRequest) (wire.DecisionResponse, error) {
+	m.mu.Lock()
+	st := m.table[req.ID]
+	_, decided := m.decided[req.ID]
+	m.mu.Unlock()
+	if st == nil && decided {
+		return wire.DecisionResponse{}, nil // duplicate decision: idempotent
+	}
+	return wire.DecisionResponse{}, m.applyDecision(ctx, st, wire.ReplicateDecision{ID: req.ID, Commit: req.Commit})
+}
+
+// applyDecision is how a primary decides — for its client door, its CTP
+// sweeper, a peer's notification and the recovery merge: the decided
+// transition, then Persist. Durability comes before the decision is
+// acknowledged on every one of those paths, and strictly AFTER the state
+// change, because the WAL checkpoint assumes state gathered after reading
+// DurableLSN covers every durable record: logging first would let a
+// concurrent checkpoint GC the prepare's write set while the backend image
+// predates the apply. The same Persist propagates the decision so backups
+// apply the write set; like prepares, only f acknowledgements are required
+// and order with other records is irrelevant (Figure 5).
+func (m *Manager) applyDecision(ctx context.Context, st *txnState, d wire.ReplicateDecision) error {
+	decStart := time.Now()
+	defer func() { m.om.decisionNs.ObserveSince(decStart) }()
+	if err := m.decide(ctx, st, d.Record()); err != nil {
+		return err
+	}
+	if err := m.host.Persist(ctx, d); err != nil {
+		return fmt.Errorf("milana: persisting decision of %v: %w", d.ID, err)
 	}
 	return nil
 }
@@ -549,111 +606,64 @@ func (m *Manager) pruneDecidedLocked() {
 	}
 }
 
-// ---- backup-side replication handlers ----
+// ---- every other route: backup delivery, anti-entropy, replay, recovery ----
 
-// HandleReplicatePrepare stores a prepared record on a backup. Inconsistent
-// replication may deliver the decision *before* the prepare (Figure 5); a
-// late prepare whose transaction already committed carries the write set
-// the decision could not apply, so it is applied here — this is exactly the
-// order reconstruction §3.2 promises.
-func (m *Manager) HandleReplicatePrepare(rec wire.TxnRecord) error {
-	m.mu.Lock()
-	if d, ok := m.decided[rec.ID]; ok {
+// Learn brings one transaction record to this replica by any route but the
+// primary's client door — backup delivery, anti-entropy, WAL replay,
+// checkpoint install and the recovery merge — in any order, since
+// inconsistent replication may deliver a decision before its prepare
+// (Figure 5). A prepared record takes the prepared transition: the late
+// prepare of a committed transaction applies the write set its decision
+// could not, and that of an aborted one is dropped. A decided record (a
+// ReplicateDecision is TxnRecord{ID, Status}) takes the decided transition,
+// which applies a commit's write set from the table entry — on replay, the
+// only way back for data a primary wrote straight to its backend. Learn
+// neither validates nor persists (the caller logs the record if it must)
+// and arms no prepared marks (see ArmPrepared).
+func (m *Manager) Learn(ctx context.Context, rec wire.TxnRecord) error {
+	switch rec.Status {
+	case wire.StatusPrepared:
+		m.mu.Lock()
+		status := m.prepareLocked(&txnState{rec: rec, preparedAt: time.Now()})
 		m.mu.Unlock()
-		if d.status == wire.StatusCommitted {
-			return m.applyWriteSet(context.Background(), rec)
+		if status != wire.StatusCommitted {
+			return nil
 		}
-		return nil // aborted: drop the late prepare
-	}
-	if _, ok := m.table[rec.ID]; !ok {
-		m.table[rec.ID] = &txnState{rec: rec, preparedAt: time.Now()}
-	}
-	m.mu.Unlock()
-	return nil
-}
-
-// HandleReplicateDecision applies a decision on a backup. Thanks to
-// inconsistent replication the decision may arrive before the prepare; the
-// decision is then remembered and the late prepare discarded.
-func (m *Manager) HandleReplicateDecision(id wire.TxnID, commit bool) error {
-	m.mu.Lock()
-	st, havePrepare := m.table[id]
-	status := wire.StatusAborted
-	if commit {
-		status = wire.StatusCommitted
-	}
-	delete(m.table, id)
-	m.decided[id] = decidedEntry{status: status, at: time.Now()}
-	m.pruneDecidedLocked()
-	m.mu.Unlock()
-	if commit && havePrepare {
-		return m.applyWriteSet(context.Background(), st.rec)
-	}
-	return nil
-}
-
-// ---- WAL replay handlers (cold restart) ----
-
-// ReplayPrepare restores a prepared transaction from a WAL record. Unlike
-// HandleReplicatePrepare (the live backup path, where key marks are inert),
-// replay must re-arm the keys' prepared marks: a restarted primary that
-// validated new transactions against unmarked keys of an in-doubt prepare
-// would let a write slide between the prepare and its eventual commit — an
-// rw/ww cycle. A prepare whose decision was replayed first (inconsistent
-// replication logs them in arrival order) is handled exactly like the live
-// late-prepare case: on commit the write set it carries is applied, on
-// abort it is dropped.
-func (m *Manager) ReplayPrepare(ctx context.Context, rec wire.TxnRecord) error {
-	m.mu.Lock()
-	if d, ok := m.decided[rec.ID]; ok {
+		rec.Status = status
+		return m.decide(ctx, nil, rec)
+	case wire.StatusCommitted, wire.StatusAborted:
+		m.mu.Lock()
+		st := m.table[rec.ID]
 		m.mu.Unlock()
-		if d.status == wire.StatusCommitted {
-			return m.applyWriteSet(ctx, rec)
-		}
-		return nil // aborted: drop the late prepare
+		return m.decide(ctx, st, rec)
+	default:
+		return fmt.Errorf("milana: cannot learn %v in status %v", rec.ID, rec.Status)
 	}
-	if _, ok := m.table[rec.ID]; !ok {
-		m.table[rec.ID] = &txnState{rec: rec, preparedAt: time.Now()}
-	}
-	m.markPreparedLocked(rec)
-	m.om.preparedTxns.Set(int64(len(m.table)))
-	m.mu.Unlock()
-	return nil
 }
 
-// ReplayDecision applies a logged decision during WAL replay: release the
-// prepare's key marks (ReplayPrepare armed them), raise latestCommitted,
-// re-apply the write set on commit — committed data was written straight to
-// the backend on the live path, so replay is its only way back — and record
-// the outcome so CTP status queries and duplicate decisions resolve. No
-// replication: every replica replays its own log.
-func (m *Manager) ReplayDecision(ctx context.Context, id wire.TxnID, commit bool) error {
+// ArmPrepared arms the prepared marks of every transaction in the table. Call
+// it when this replica becomes a serving primary — after the recovery merge,
+// or after WAL replay when it starts as one: reads and validation consult
+// marks only there, so a restarted or promoted primary that validated
+// against the unmarked keys of an in-doubt prepare would let a write slide
+// between the prepare and its eventual commit — an rw/ww cycle.
+func (m *Manager) ArmPrepared() {
 	m.mu.Lock()
-	st, havePrepare := m.table[id]
-	status := wire.StatusAborted
-	if commit {
-		status = wire.StatusCommitted
+	defer m.mu.Unlock()
+	for _, st := range m.table {
+		m.markPreparedLocked(st.rec)
 	}
-	if havePrepare {
-		m.releasePreparedLocked(st.rec)
-		delete(m.table, id)
-		if commit {
-			for _, kv := range st.rec.WriteSet {
-				km := m.metaLocked(kv.Key)
-				if st.rec.CommitTs.After(km.latestCommitted) {
-					km.latestCommitted = st.rec.CommitTs
-				}
-			}
-		}
+}
+
+// tableStates snapshots the transaction table.
+func (m *Manager) tableStates() []*txnState {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	out := make([]*txnState, 0, len(m.table))
+	for _, st := range m.table {
+		out = append(out, st)
 	}
-	m.decided[id] = decidedEntry{status: status, at: time.Now()}
-	m.om.preparedTxns.Set(int64(len(m.table)))
-	m.pruneDecidedLocked()
-	m.mu.Unlock()
-	if commit && havePrepare {
-		return m.applyWriteSet(ctx, st.rec)
-	}
-	return nil
+	return out
 }
 
 // ---- in-doubt termination (client failure, §4.5) ----
@@ -684,10 +694,9 @@ func (r SweepResult) Terminated() int { return r.RecoveredCommit + r.RecoveredAb
 // Reports the per-outcome breakdown, which also feeds the
 // milana_sweep_total{outcome=...} counters.
 func (m *Manager) SweepPrepared(ctx context.Context, timeout time.Duration) SweepResult {
-	m.mu.Lock()
-	var stale []wire.TxnRecord
+	var res SweepResult
 	now := time.Now()
-	for _, st := range m.table {
+	for _, st := range m.tableStates() {
 		age := now.Sub(st.preparedAt)
 		if age <= timeout {
 			continue
@@ -695,21 +704,16 @@ func (m *Manager) SweepPrepared(ctx context.Context, timeout time.Duration) Swee
 		if coordinatorShard(st.rec.Participants) != m.host.ShardID() && age <= 2*timeout {
 			continue // give the designated coordinator the first shot
 		}
-		stale = append(stale, st.rec)
-	}
-	m.mu.Unlock()
-	var res SweepResult
-	for _, rec := range stale {
-		commit, ok := m.terminate(ctx, rec)
+		commit, ok := m.terminate(ctx, st.rec)
 		if !ok {
 			res.StillPending++ // a participant is unreachable; stay blocked
 			continue
 		}
-		if err := m.applyDecision(ctx, rec, commit); err != nil {
+		if err := m.applyDecision(ctx, st, wire.ReplicateDecision{ID: st.rec.ID, Commit: commit}); err != nil {
 			res.StillPending++
 			continue
 		}
-		m.notifyParticipants(ctx, rec, commit)
+		m.notifyParticipants(ctx, st.rec, commit)
 		if commit {
 			res.RecoveredCommit++
 		} else {
@@ -805,43 +809,6 @@ func (m *Manager) SetRecoveryFloor(ts clock.Timestamp) {
 	}
 }
 
-// InstallRecovered loads one transaction record from a checkpoint or WAL
-// replay into the local table without any replication or termination side
-// effects. Prepared records re-arm their keys' prepared marks (CTP will
-// terminate them if the client is gone); decided records land in the
-// decided map so duplicate decisions and CTP queries resolve. Committed
-// write sets are NOT re-applied here — the data path is recovered
-// separately (checkpoint data + replayed ReplicateData/put records), and
-// version-stamped Puts make any overlap idempotent anyway.
-func (m *Manager) InstallRecovered(rec wire.TxnRecord) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	switch rec.Status {
-	case wire.StatusPrepared:
-		if _, decided := m.decided[rec.ID]; decided {
-			return // decision already recovered; drop the stale prepare
-		}
-		if _, ok := m.table[rec.ID]; !ok {
-			m.table[rec.ID] = &txnState{rec: rec, preparedAt: time.Now()}
-		}
-		m.markPreparedLocked(rec)
-	case wire.StatusCommitted, wire.StatusAborted:
-		if st, ok := m.table[rec.ID]; ok {
-			m.releasePreparedLocked(st.rec)
-			delete(m.table, rec.ID)
-		}
-		m.decided[rec.ID] = decidedEntry{status: rec.Status, at: time.Now()}
-		if rec.Status == wire.StatusCommitted {
-			for _, kv := range rec.WriteSet {
-				km := m.metaLocked(kv.Key)
-				if rec.CommitTs.After(km.latestCommitted) {
-					km.latestCommitted = rec.CommitTs
-				}
-			}
-		}
-	}
-}
-
 // ---- failover (Algorithm 2) ----
 
 // TableRecords snapshots this replica's transaction table (both prepared
@@ -860,9 +827,12 @@ func (m *Manager) TableRecords() []wire.TxnRecord {
 }
 
 // MergeRecovered is Algorithm 2: it merges the transaction records gathered
-// from f+1 replicas into the new primary's table, terminating in-doubt
-// multi-shard transactions via CTP. Committed transactions are re-applied
-// idempotently; prepared single-shard transactions commit.
+// from f+1 replicas into the new primary's table, Learns each merged record
+// — committed transactions are re-applied idempotently, since some replicas
+// (this one included) may have missed the writes — and then terminates the
+// transactions still prepared: single-shard ones commit, multi-shard ones
+// go through CTP. The caller arms the marks of those that stay in doubt
+// (ArmPrepared) once the merge is done.
 func (m *Manager) MergeRecovered(ctx context.Context, pulled [][]wire.TxnRecord) error {
 	// Reduce to the strongest known status per transaction while never
 	// losing a write set: one replica may know only the decision (a
@@ -897,44 +867,23 @@ func (m *Manager) MergeRecovered(ctx context.Context, pulled [][]wire.TxnRecord)
 			merge(rec)
 		}
 	}
-	m.mu.Lock()
-	local := make([]wire.TxnRecord, 0, len(m.table))
-	for _, st := range m.table {
-		local = append(local, st.rec)
+	for _, st := range m.tableStates() {
+		merge(st.rec)
 	}
-	m.mu.Unlock()
-	for _, rec := range local {
-		merge(rec)
-	}
-
 	for _, rec := range best {
-		switch rec.Status {
-		case wire.StatusCommitted:
-			// Re-apply idempotently: some replicas (including this
-			// one) may have missed the writes.
-			if len(rec.WriteSet) > 0 {
-				if err := m.applyRecovered(ctx, rec, true); err != nil {
-					return err
-				}
-			} else {
-				m.recordDecision(rec.ID, wire.StatusCommitted)
-			}
-		case wire.StatusAborted:
-			m.recordDecision(rec.ID, wire.StatusAborted)
-		case wire.StatusPrepared:
-			m.mu.Lock()
-			m.table[rec.ID] = &txnState{rec: rec, preparedAt: time.Now()}
-			m.markPreparedLocked(rec)
-			m.mu.Unlock()
-			commit, ok := m.terminate(ctx, rec)
-			if !ok {
-				continue // stays in-doubt; keys stay prepared, sweeper retries
-			}
-			if err := m.applyDecision(ctx, rec, commit); err != nil {
-				return err
-			}
-			m.notifyParticipants(ctx, rec, commit)
+		if err := m.Learn(ctx, rec); err != nil {
+			return err
 		}
+	}
+	for _, st := range m.tableStates() {
+		commit, ok := m.terminate(ctx, st.rec)
+		if !ok {
+			continue // stays in doubt; the sweeper retries
+		}
+		if err := m.applyDecision(ctx, st, wire.ReplicateDecision{ID: st.rec.ID, Commit: commit}); err != nil {
+			return err
+		}
+		m.notifyParticipants(ctx, st.rec, commit)
 	}
 	return nil
 }
@@ -950,43 +899,6 @@ func rank(s wire.TxnStatus) int {
 	default:
 		return 0
 	}
-}
-
-// applyRecovered applies a committed transaction found during recovery
-// without contacting backups (data merge already made them consistent).
-func (m *Manager) applyRecovered(_ context.Context, rec wire.TxnRecord, commit bool) error {
-	if commit {
-		for _, kv := range rec.WriteSet {
-			if err := m.host.Backend().Put(kv.Key, kv.Val, rec.CommitTs); err != nil {
-				return err
-			}
-		}
-	}
-	m.mu.Lock()
-	m.releasePreparedLocked(rec)
-	if commit {
-		for _, kv := range rec.WriteSet {
-			km := m.metaLocked(kv.Key)
-			if rec.CommitTs.After(km.latestCommitted) {
-				km.latestCommitted = rec.CommitTs
-			}
-		}
-	}
-	delete(m.table, rec.ID)
-	status := wire.StatusAborted
-	if commit {
-		status = wire.StatusCommitted
-	}
-	m.decided[rec.ID] = decidedEntry{status: status, at: time.Now()}
-	m.mu.Unlock()
-	return nil
-}
-
-func (m *Manager) recordDecision(id wire.TxnID, status wire.TxnStatus) {
-	m.mu.Lock()
-	delete(m.table, id)
-	m.decided[id] = decidedEntry{status: status, at: time.Now()}
-	m.mu.Unlock()
 }
 
 // PreparedCount reports the number of in-doubt transactions (tests).

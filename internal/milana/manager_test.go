@@ -242,16 +242,20 @@ func TestDecisionReleasesParkedReads(t *testing.T) {
 	}
 }
 
-// TestRecoveredMarkWakesParkedReads: recovery may re-arm a key another
-// transaction still marks; the reads parked on the old mark must wake.
+// TestRecoveredMarkWakesParkedReads: arming a recovered table may re-arm a
+// key another transaction still marks; the reads parked on the old mark must
+// wake.
 func TestRecoveredMarkWakesParkedReads(t *testing.T) {
 	m := NewManager(newFakeHost())
 	if resp, _ := m.Prepare(context.Background(), prepReq(1, 100, nil, []wire.KV{{Key: []byte("a")}})); !resp.OK {
 		t.Fatal("prepare")
 	}
 	old := m.OnGet([]byte("a"), ts(300))
-	m.InstallRecovered(wire.TxnRecord{ID: wire.TxnID{Client: 2, Seq: 1}, CommitTs: ts(200),
-		WriteSet: []wire.KV{{Key: []byte("a")}}, Status: wire.StatusPrepared})
+	if err := m.Learn(context.Background(), wire.TxnRecord{ID: wire.TxnID{Client: 2, Seq: 1}, CommitTs: ts(200),
+		WriteSet: []wire.KV{{Key: []byte("a")}}, Status: wire.StatusPrepared}); err != nil {
+		t.Fatal(err)
+	}
+	m.ArmPrepared()
 	select {
 	case <-old:
 	default:
@@ -425,6 +429,7 @@ func TestLocalLogFailureNoVote(t *testing.T) {
 func TestBackupReplicationOrderIndependence(t *testing.T) {
 	// Inconsistent replication: a backup may see the decision before the
 	// prepare (Figure 5). Both orders must converge.
+	ctx := context.Background()
 	for _, order := range []string{"prepare-first", "decision-first"} {
 		m := NewManager(newFakeHost())
 		rec := wire.TxnRecord{
@@ -433,20 +438,21 @@ func TestBackupReplicationOrderIndependence(t *testing.T) {
 			WriteSet: []wire.KV{{Key: []byte("a"), Val: []byte("v")}},
 			Status:   wire.StatusPrepared,
 		}
+		decision := wire.ReplicateDecision{ID: rec.ID, Commit: true}.Record()
 		if order == "prepare-first" {
-			if err := m.HandleReplicatePrepare(rec); err != nil {
+			if err := m.Learn(ctx, rec); err != nil {
 				t.Fatal(err)
 			}
-			if err := m.HandleReplicateDecision(rec.ID, true); err != nil {
+			if err := m.Learn(ctx, decision); err != nil {
 				t.Fatal(err)
 			}
 		} else {
-			if err := m.HandleReplicateDecision(rec.ID, true); err != nil {
+			if err := m.Learn(ctx, decision); err != nil {
 				t.Fatal(err)
 			}
 			// The late prepare carries the write set the early decision
 			// could not apply; it must be applied, not resurrected.
-			if err := m.HandleReplicatePrepare(rec); err != nil {
+			if err := m.Learn(ctx, rec); err != nil {
 				t.Fatal(err)
 			}
 			if m.PreparedCount() != 0 {
@@ -664,7 +670,9 @@ func TestMergeRecoveredPeerUnreachableStaysPrepared(t *testing.T) {
 	if m.Status(rec.ID) != wire.StatusPrepared {
 		t.Fatal("in-doubt txn decided without reaching participants")
 	}
-	// The key must be blocked for new writers until the txn terminates.
+	// Once the merged replica serves as primary, the key must be blocked for
+	// new writers until the txn terminates.
+	m.ArmPrepared()
 	resp, _ := m.Prepare(context.Background(), prepReq(9, 900, nil, []wire.KV{{Key: []byte("m")}}))
 	if resp.OK {
 		t.Fatal("prepared key writable during in-doubt window")
@@ -695,7 +703,7 @@ func TestMergeRecoveredGraftsWriteSetFromLocal(t *testing.T) {
 		WriteSet: []wire.KV{{Key: []byte("w"), Val: []byte("wv")}},
 		Status:   wire.StatusPrepared, Participants: []int{0},
 	}
-	if err := m.HandleReplicatePrepare(rec); err != nil {
+	if err := m.Learn(context.Background(), rec); err != nil {
 		t.Fatal(err)
 	}
 	// A peer replica contributes only the bare decision.

@@ -95,10 +95,11 @@ func (s *Server) CheckpointWAL() error {
 
 // recoverFromWAL rebuilds the replica from its log: decode and apply the
 // checkpoint (full data image, transaction table, lease grant, watermark),
-// then replay every record above it through the manager's replay handlers,
-// which re-arm prepared key marks and re-apply committed write sets —
-// state the live backup handlers leave alone because on a backup it is
-// inert. Decisions terminated by CTP on a peer, or decided
+// then replay every record above it. Transaction records take the same path
+// as a live backup delivery, Manager.Learn, which re-applies a committed
+// write set whichever of its prepare and decision is replayed last; prepared
+// marks are armed afterwards, and only if this replica starts as primary
+// (see NewServer). Decisions terminated by CTP on a peer, or decided
 // while this replica was dead, are NOT here — the sweeper and anti-entropy
 // re-converge those. Finally the manager's read floor rises to the local
 // clock's now: pre-crash reads (all at timestamps ≤ the crash instant)
@@ -106,6 +107,7 @@ func (s *Server) CheckpointWAL() error {
 // key was read as late as the restart.
 func (s *Server) recoverFromWAL() error {
 	start := time.Now()
+	ctx := context.Background()
 	var records int64
 	if _, payload, ok := s.opt.Log.Checkpoint(); ok {
 		msg, err := wire.Codec.Decode(payload)
@@ -122,7 +124,9 @@ func (s *Server) recoverFromWAL() error {
 			}
 		}
 		for _, rec := range ck.Txns {
-			s.mgr.InstallRecovered(rec)
+			if err := s.mgr.Learn(ctx, rec); err != nil {
+				return err
+			}
 		}
 		s.granted = ck.LeaseExpiry
 		if !ck.Watermark.IsZero() {
@@ -145,9 +149,9 @@ func (s *Server) recoverFromWAL() error {
 				}
 			}
 		case wire.ReplicatePrepare:
-			return s.mgr.ReplayPrepare(context.Background(), r.Record)
+			return s.mgr.Learn(ctx, r.Record)
 		case wire.ReplicateDecision:
-			return s.mgr.ReplayDecision(context.Background(), r.ID, r.Commit)
+			return s.mgr.Learn(ctx, r.Record())
 		case wire.LeaseRequest:
 			if r.Expiry.After(s.granted) {
 				s.granted = r.Expiry

@@ -105,6 +105,7 @@ func (s *Server) Promote(ctx context.Context) error {
 	if err := s.mgr.MergeRecovered(ctx, pulledTxns); err != nil {
 		return err
 	}
+	s.mgr.ArmPrepared()
 	// Wait for the local clock to pass the old primary's lease so no
 	// stale read can be contradicted (§4.5).
 	for s.opt.LeaseDuration > 0 && !s.opt.Clock.Now().After(maxLease) {

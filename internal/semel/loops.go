@@ -76,7 +76,7 @@ func (s *Server) antiEntropyOnce() {
 	// quadratic busywork.
 	for _, rec := range pull.Txns {
 		if rec.Status == wire.StatusPrepared {
-			_ = s.mgr.HandleReplicatePrepare(rec)
+			_ = s.mgr.Learn(ctx, rec)
 		}
 	}
 }

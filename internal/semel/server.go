@@ -245,6 +245,9 @@ func NewServer(opt ServerOptions) (*Server, error) {
 			return nil, fmt.Errorf("semel: WAL recovery: %w", err)
 		}
 	}
+	if opt.Primary {
+		s.mgr.ArmPrepared()
+	}
 	s.startLoops()
 	return s, nil
 }
@@ -723,16 +726,16 @@ func (s *Server) handleStatus(_ context.Context, r wire.StatusRequest) (wire.Sta
 }
 
 // handleReplicatePrepare stores a prepared record on a backup.
-func (s *Server) handleReplicatePrepare(_ context.Context, r wire.ReplicatePrepare) (wire.Ack, error) {
-	if err := s.mgr.HandleReplicatePrepare(r.Record); err != nil {
+func (s *Server) handleReplicatePrepare(ctx context.Context, r wire.ReplicatePrepare) (wire.Ack, error) {
+	if err := s.mgr.Learn(ctx, r.Record); err != nil {
 		return wire.Ack{}, err
 	}
 	return wire.Ack{}, s.logRecord(r)
 }
 
 // handleReplicateDecision applies a decision on a backup.
-func (s *Server) handleReplicateDecision(_ context.Context, r wire.ReplicateDecision) (wire.Ack, error) {
-	if err := s.mgr.HandleReplicateDecision(r.ID, r.Commit); err != nil {
+func (s *Server) handleReplicateDecision(ctx context.Context, r wire.ReplicateDecision) (wire.Ack, error) {
+	if err := s.mgr.Learn(ctx, r.Record()); err != nil {
 		return wire.Ack{}, err
 	}
 	return wire.Ack{}, s.logRecord(r)

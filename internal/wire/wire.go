@@ -282,6 +282,14 @@ type ReplicateDecision struct {
 	Commit bool
 }
 
+// Record is the decision as a bare transaction record: TxnRecord{ID, Status}.
+func (d ReplicateDecision) Record() TxnRecord {
+	if d.Commit {
+		return TxnRecord{ID: d.ID, Status: StatusCommitted}
+	}
+	return TxnRecord{ID: d.ID, Status: StatusAborted}
+}
+
 // ---- recovery and leases (§4.5) ----
 
 // LeaseRequest renews the primary's read lease on a backup until Expiry
