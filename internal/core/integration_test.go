@@ -4,11 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/cluster"
 	"repro/internal/milana"
 	"repro/internal/semel"
@@ -216,6 +219,97 @@ func TestTxnWriteConflictAborts(t *testing.T) {
 	}
 	if !errors.Is(loser, milana.ErrAborted) {
 		t.Fatalf("loser error = %v", loser)
+	}
+}
+
+// TestPrepareParkNoDeadlockAcrossShards: A (older) and B (younger) each
+// hold a prepared mark on one shard and prepare on the other. B parks on A's
+// mark; A, meeting B's younger mark, votes NO at once, and A's abort decision
+// releases B, which commits. Neither prepare may wait out the bound — a
+// prepare waits only on a smaller timestamp, so the two cannot wait on each
+// other.
+func TestPrepareParkNoDeadlockAcrossShards(t *testing.T) {
+	c := newTestCluster(t, ClusterOptions{Shards: 2, Replicas: 3})
+	ctx := context.Background()
+	x, y := []byte("x"), []byte("y")
+	for i := 0; c.Dir.ShardFor(y) == c.Dir.ShardFor(x); i++ {
+		y = fmt.Appendf(nil, "y%d", i)
+	}
+	sx, sy := c.Dir.ShardFor(x), c.Dir.ShardFor(y)
+	a := wire.TxnID{Client: 1, Seq: 1}
+	b := wire.TxnID{Client: 2, Seq: 1}
+	commitTs := map[wire.TxnID]clock.Timestamp{a: {Ticks: 1000, Client: 1}, b: {Ticks: 2000, Client: 2}}
+	call := func(shard cluster.ShardID, req any) any {
+		addr, err := c.Dir.Primary(shard)
+		if err != nil {
+			t.Error(err)
+			return nil
+		}
+		resp, err := c.Bus.Call(ctx, addr, req)
+		if err != nil {
+			t.Error(err)
+		}
+		return resp
+	}
+	prepare := func(id wire.TxnID, shard cluster.ShardID, key []byte) (wire.PrepareResponse, time.Duration) {
+		start := time.Now()
+		resp, _ := call(shard, wire.PrepareRequest{
+			ID: id, CommitTs: commitTs[id], Participants: []int{int(sx), int(sy)},
+			WriteSet: []wire.KV{{Key: key, Val: []byte(fmt.Sprint(id))}},
+		}).(wire.PrepareResponse)
+		return resp, time.Since(start)
+	}
+	decide := func(id wire.TxnID, shard cluster.ShardID, commit bool) {
+		call(shard, wire.DecisionRequest{ID: id, Commit: commit})
+	}
+
+	if resp, _ := prepare(a, sx, x); !resp.OK {
+		t.Fatalf("A's prepare on its own shard: %+v", resp)
+	}
+	if resp, _ := prepare(b, sy, y); !resp.OK {
+		t.Fatalf("B's prepare on its own shard: %+v", resp)
+	}
+	type vote struct {
+		resp wire.PrepareResponse
+		took time.Duration
+	}
+	bVote := make(chan vote, 1)
+	go func() {
+		resp, took := prepare(b, sx, x)
+		bVote <- vote{resp, took}
+	}()
+	waitPreparesParked(t, 1)
+	resp, took := prepare(a, sy, y)
+	if resp.OK || resp.Code != wire.AbortWritePrepared || took >= milana.DecisionWait {
+		t.Fatalf("A on B's younger mark voted %+v after %v; want write-prepared NO well before %v", resp, took, milana.DecisionWait)
+	}
+	decide(a, sx, false)
+	v := <-bVote
+	if !v.resp.OK || v.took >= milana.DecisionWait {
+		t.Fatalf("B voted %+v after %v; want YES before the %v bound", v.resp, v.took, milana.DecisionWait)
+	}
+	decide(b, sx, true)
+	decide(b, sy, true)
+	for key, shard := range map[string]cluster.ShardID{string(x): sx, string(y): sy} {
+		addr, _ := c.Dir.Primary(shard)
+		if val, _, found, _ := c.Backend(addr).Latest([]byte(key)); !found || string(val) != fmt.Sprint(b) {
+			t.Fatalf("%s = %q (found %v), want B's write", key, val, found)
+		}
+	}
+}
+
+// waitPreparesParked waits until n prepares are parked on an older
+// transaction's decision.
+func waitPreparesParked(t *testing.T, n int) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if strings.Count(string(buf[:runtime.Stack(buf, true)]), "milana.awaitHolder") >= n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("fewer than %d prepares ever parked", n)
+		}
 	}
 }
 

@@ -72,10 +72,17 @@ var ErrNotLogged = errors.New("milana: record not logged")
 // in-doubt transaction always finds the decision.
 const decidedRetention = 60 * time.Second
 
+// DecisionWait bounds how long a read of a prepared version, or a prepare
+// that meets an older transaction's prepared mark, parks on that
+// transaction's decision before it answers as it would have without
+// waiting.
+const DecisionWait = 50 * time.Millisecond
+
 // keyMeta is the DRAM-only per-key state of §4.1. A prepared mark
 // (hasPrepared, preparedTs, preparedBy) also carries decided, a channel
 // closed when the mark is released, on which reads of the prepared version
-// park (see OnGet). Only a serving primary holds marks (see ArmPrepared).
+// (see OnGet) and younger prepares writing the key (see Prepare) park. Only
+// a serving primary holds marks (see ArmPrepared).
 type keyMeta struct {
 	latestRead      clock.Timestamp
 	latestCommitted clock.Timestamp
@@ -268,6 +275,15 @@ func (m *Manager) LatestCommitted(key []byte) clock.Timestamp {
 // Prepare is 2PC phase one on a participant primary: validate with
 // Algorithm 1, persist the prepared record (local log and f backups), and
 // vote.
+//
+// A prepare whose only obstacle is an older transaction's prepared mark on a
+// key it writes parks on that transaction's decision (wait-die ordering on
+// the marks) and then runs the whole locked section again — retransmit
+// check, known-decision check, Algorithm 1 — for at most DecisionWait in all
+// or until ctx ends, after which it votes NO as it would have at once.
+// Waiting only on smaller timestamps keeps the wait-for graph acyclic across
+// shards, and the vote is still one Algorithm 1 run under m.mu, which the
+// park only delays.
 func (m *Manager) Prepare(ctx context.Context, req wire.PrepareRequest) (wire.PrepareResponse, error) {
 	prepStart := time.Now()
 	defer func() { m.om.prepareNs.ObserveSince(prepStart) }()
@@ -278,53 +294,79 @@ func (m *Manager) Prepare(ctx context.Context, req wire.PrepareRequest) (wire.Pr
 		Participants: req.Participants,
 		Status:       wire.StatusPrepared,
 	}
-	m.mu.Lock()
-	if st, ok := m.table[req.ID]; ok { // retransmitted prepare
-		m.mu.Unlock()
-		if st.persisted == nil {
+	var bound *time.Timer // armed at the first park; one bound for all of them
+	mayPark := true
+	for {
+		m.mu.Lock()
+		if st, ok := m.table[req.ID]; ok { // retransmitted prepare
+			m.mu.Unlock()
+			if st.persisted == nil {
+				return wire.PrepareResponse{OK: true}, nil
+			}
+			// A YES vote needs the record in the local log: answer what the
+			// first copy's Persist earned, once it has.
+			select {
+			case <-st.persisted:
+				return st.vote, st.voteErr
+			case <-ctx.Done():
+				return wire.PrepareResponse{}, ctx.Err()
+			}
+		}
+		if d, ok := m.decided[req.ID]; ok { // prepare after decision
+			m.mu.Unlock()
+			if d.status != wire.StatusCommitted {
+				return wire.PrepareResponse{OK: false}, nil
+			}
+			// The prepared transition: a commit that outran its prepare could
+			// apply no write set, so the prepare applies it.
+			rec.Status = wire.StatusCommitted
+			if err := m.decide(ctx, nil, rec); err != nil {
+				return wire.PrepareResponse{}, err
+			}
 			return wire.PrepareResponse{OK: true}, nil
 		}
-		// A YES vote needs the record in the local log: answer what the
-		// first copy's Persist earned, once it has.
-		select {
-		case <-st.persisted:
-			return st.vote, st.voteErr
-		case <-ctx.Done():
-			return wire.PrepareResponse{}, ctx.Err()
+		valStart := time.Now()
+		reason, code, margin, holder := m.validateLocked(req)
+		m.om.validateNs.ObserveSince(valStart)
+		obs.AttributeStage(ctx, obs.StageValidate, time.Since(valStart))
+		if holder != nil && mayPark {
+			m.mu.Unlock()
+			if bound == nil {
+				bound = time.NewTimer(DecisionWait)
+				defer bound.Stop()
+			}
+			mayPark = awaitHolder(ctx, holder, bound.C)
+			continue
 		}
-	}
-	if d, ok := m.decided[req.ID]; ok { // prepare after decision
+		if reason != "" {
+			m.decideLocked(wire.TxnRecord{ID: req.ID, Status: wire.StatusAborted})
+			m.mu.Unlock()
+			m.countAbort(code)
+			m.classifyAbort(code, margin)
+			return wire.PrepareResponse{OK: false, Reason: reason, Code: code}, nil
+		}
+		st := &txnState{rec: rec, preparedAt: time.Now(), persisted: make(chan struct{})}
+		m.prepareLocked(st)
+		m.markPreparedLocked(rec)
 		m.mu.Unlock()
-		if d.status != wire.StatusCommitted {
-			return wire.PrepareResponse{OK: false}, nil
-		}
-		// The prepared transition: a commit that outran its prepare could
-		// apply no write set, so the prepare applies it.
-		rec.Status = wire.StatusCommitted
-		if err := m.decide(ctx, nil, rec); err != nil {
-			return wire.PrepareResponse{}, err
-		}
-		return wire.PrepareResponse{OK: true}, nil
-	}
-	valStart := time.Now()
-	reason, code, margin := m.validateLocked(req)
-	m.om.validateNs.ObserveSince(valStart)
-	obs.AttributeStage(ctx, obs.StageValidate, time.Since(valStart))
-	if reason != "" {
-		m.decideLocked(wire.TxnRecord{ID: req.ID, Status: wire.StatusAborted})
-		m.mu.Unlock()
-		m.countAbort(code)
-		m.classifyAbort(code, margin)
-		return wire.PrepareResponse{OK: false, Reason: reason, Code: code}, nil
-	}
-	st := &txnState{rec: rec, preparedAt: time.Now(), persisted: make(chan struct{})}
-	m.prepareLocked(st)
-	m.markPreparedLocked(rec)
-	m.mu.Unlock()
 
-	st.vote, st.voteErr = m.persistPrepare(ctx, st)
-	close(st.persisted)
-	return st.vote, st.voteErr
+		st.vote, st.voteErr = m.persistPrepare(ctx, st)
+		close(st.persisted)
+		return st.vote, st.voteErr
+	}
+}
+
+// awaitHolder parks a prepare on an older holder's decision channel and
+// reports whether the decision landed before bound fired or ctx ended.
+func awaitHolder(ctx context.Context, decided <-chan struct{}, bound <-chan time.Time) bool {
+	select {
+	case <-decided:
+		return true
+	case <-bound:
+		return false
+	case <-ctx.Done():
+		return false
+	}
 }
 
 // persistPrepare makes a validated, marked prepare durable and returns the
@@ -367,35 +409,50 @@ func (m *Manager) MutateSkipReadValidation(skip bool) {
 	m.skipReadValidation.Store(skip)
 }
 
-// validateLocked is Algorithm 1. It returns ("", AbortNone, -1) on success
-// or an abort reason with its classification and, for the Late* reasons, the
-// margin by which the commit timestamp lost its race (abort provenance).
-func (m *Manager) validateLocked(req wire.PrepareRequest) (string, wire.AbortReason, time.Duration) {
+// validateLocked is Algorithm 1. It returns ("", AbortNone, -1, nil) on
+// success or an abort reason with its classification and, for the Late*
+// reasons, the margin by which the commit timestamp lost its race (abort
+// provenance). When the only obstacles are prepared marks of older
+// transactions on write keys — marks whose commit would leave this
+// transaction valid — the abort is write-prepared and holder is the first
+// such mark's decided channel. A younger holder, whose commit would make
+// this write late, and a read-set conflict, which its holder's commit would
+// make stale, are not worth waiting for: they return no holder.
+func (m *Manager) validateLocked(req wire.PrepareRequest) (reason string, code wire.AbortReason, margin time.Duration, holder <-chan struct{}) {
 	if !m.skipReadValidation.Load() {
 		for _, rk := range req.ReadSet {
 			km := m.metaLocked(rk.Key)
 			if km.hasPrepared && km.preparedBy != req.ID {
-				return fmt.Sprintf("read key %q has a prepared version", rk.Key), wire.AbortReadPrepared, -1
+				return fmt.Sprintf("read key %q has a prepared version", rk.Key), wire.AbortReadPrepared, -1, nil
 			}
 			if km.latestCommitted != rk.Version {
-				return fmt.Sprintf("read key %q changed: read %v, latest %v", rk.Key, rk.Version, km.latestCommitted), wire.AbortReadStale, -1
+				return fmt.Sprintf("read key %q changed: read %v, latest %v", rk.Key, rk.Version, km.latestCommitted), wire.AbortReadStale, -1, nil
 			}
 		}
 	}
 	newVersion := req.CommitTs
+	var heldKey []byte
 	for _, kv := range req.WriteSet {
 		km := m.metaLocked(kv.Key)
 		if km.hasPrepared && km.preparedBy != req.ID {
-			return fmt.Sprintf("write key %q has a prepared version", kv.Key), wire.AbortWritePrepared, -1
+			if !km.preparedTs.Before(newVersion) {
+				return fmt.Sprintf("write key %q has a prepared version", kv.Key), wire.AbortWritePrepared, -1, nil
+			}
+			if holder == nil {
+				heldKey, holder = kv.Key, km.decided
+			}
 		}
 		if km.latestRead.Compare(newVersion) >= 0 {
-			return fmt.Sprintf("write key %q read at %v ≥ commit %v", kv.Key, km.latestRead, newVersion), wire.AbortLateWriteRead, tickMargin(km.latestRead, newVersion)
+			return fmt.Sprintf("write key %q read at %v ≥ commit %v", kv.Key, km.latestRead, newVersion), wire.AbortLateWriteRead, tickMargin(km.latestRead, newVersion), nil
 		}
 		if km.latestCommitted.Compare(newVersion) >= 0 {
-			return fmt.Sprintf("write key %q committed at %v ≥ commit %v", kv.Key, km.latestCommitted, newVersion), wire.AbortLateWrite, tickMargin(km.latestCommitted, newVersion)
+			return fmt.Sprintf("write key %q committed at %v ≥ commit %v", kv.Key, km.latestCommitted, newVersion), wire.AbortLateWrite, tickMargin(km.latestCommitted, newVersion), nil
 		}
 	}
-	return "", wire.AbortNone, -1
+	if holder != nil {
+		return fmt.Sprintf("write key %q has a prepared version", heldKey), wire.AbortWritePrepared, -1, holder
+	}
+	return "", wire.AbortNone, -1, nil
 }
 
 // tickMargin is how far winner leads loser on the tick axis (0 for a pure

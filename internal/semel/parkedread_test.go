@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/clock"
 	"repro/internal/cluster"
+	"repro/internal/milana"
 	"repro/internal/storage"
 	"repro/internal/wire"
 )
@@ -117,7 +118,7 @@ func TestParkedGetSeesDecision(t *testing.T) {
 }
 
 // TestParkedReadBounded: without a decision, a parked read answers with the
-// prepared bit after preparedReadWait, or as soon as its context ends if
+// prepared bit after milana.DecisionWait, or as soon as its context ends if
 // that comes first — for a MultiGet's per-key workers too.
 func TestParkedReadBounded(t *testing.T) {
 	srv := newParkedReadServer(t)
@@ -134,8 +135,8 @@ func TestParkedReadBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 		wantPrepared(t, resp.(wire.GetResponse))
-		if waited := time.Since(start); waited < preparedReadWait {
-			t.Fatalf("read answered after %v, before the %v bound", waited, preparedReadWait)
+		if waited := time.Since(start); waited < milana.DecisionWait {
+			t.Fatalf("read answered after %v, before the %v bound", waited, milana.DecisionWait)
 		}
 	})
 	ended, cancel := context.WithCancel(context.Background())
@@ -147,7 +148,7 @@ func TestParkedReadBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 		wantPrepared(t, resp.(wire.GetResponse))
-		if waited := time.Since(start); waited >= preparedReadWait {
+		if waited := time.Since(start); waited >= milana.DecisionWait {
 			t.Fatalf("read with an ended context parked for %v", waited)
 		}
 	})
@@ -158,7 +159,7 @@ func TestParkedReadBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 		wantPrepared(t, resp.(wire.MultiGetResponse).Items[0])
-		if waited := time.Since(start); waited >= preparedReadWait {
+		if waited := time.Since(start); waited >= milana.DecisionWait {
 			t.Fatalf("multiget with an ended context parked for %v", waited)
 		}
 	})

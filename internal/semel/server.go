@@ -549,15 +549,11 @@ func (s *Server) get(ctx context.Context, r wire.GetRequest) (wire.GetResponse, 
 	return wire.GetResponse{Val: val, Version: ver, Found: found, PreparedAtOrBefore: prepared}, read, nil
 }
 
-// preparedReadWait bounds how long a read parks on a prepared version's
-// decision before answering with the prepared bit set.
-const preparedReadWait = 50 * time.Millisecond
-
 // awaitDecision records a read of key at `at` and reports whether the key
 // still has a prepared version at or before `at`. When it has one, the read
 // parks until that transaction's decision releases the key — then reads the
 // decided value instead of sending the client into an abort-and-retry spin —
-// for at most preparedReadWait or until ctx ends. Parking is serializable
+// for at most milana.DecisionWait or until ctx ends. Parking is serializable
 // for the reason client-local validation is (§4.3): the first OnGet already
 // raised the key's latestRead to `at`, so no writer at or below `at` can
 // validate after it, and once the prepared transaction decides, the
@@ -567,7 +563,7 @@ func (s *Server) awaitDecision(ctx context.Context, key []byte, at clock.Timesta
 	if decided == nil {
 		return false
 	}
-	bound := time.NewTimer(preparedReadWait)
+	bound := time.NewTimer(milana.DecisionWait)
 	defer bound.Stop()
 	for decided != nil {
 		select {
