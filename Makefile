@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race check cover nogob onecarrier oneroute audit stress overload crash overhead benchall
+.PHONY: all build vet test race check cover nogob onecarrier oneroute onepark audit stress overload crash overhead benchall
 
 all: check
 
@@ -60,6 +60,15 @@ oneroute:
 	if [ -n "$$bad" ]; then echo "oneroute: repro/internal/wire imported outside tests by:"; echo "$$bad"; exit 1; fi; \
 	echo "oneroute: ok"
 
+# onepark keeps milana.Manager the only code that waits on a prepared mark:
+# DecisionWait, the bound every such wait shares, may appear in tests and
+# under internal/milana, in no other Go file that ships — so a second park
+# cannot grow back in semel unnoticed.
+onepark:
+	@bad=$$(grep -rlw --include='*.go' 'DecisionWait' internal cmd | grep -v '_test\.go$$' | grep -v '^internal/milana/'); \
+	if [ -n "$$bad" ]; then echo "onepark: DecisionWait outside internal/milana in:"; echo "$$bad"; exit 1; fi; \
+	echo "onepark: ok"
+
 # audit runs the online-audit gate under the race detector: chaos runs with
 # the streaming auditor attached must stay silent (zero convictions, zero
 # ε violations), a mutated cluster must be convicted online, the streaming
@@ -74,13 +83,15 @@ audit:
 # 2-seed × 3-profile chaos sweep via TestStressChaosSweep and the online
 # audit suite), hold the coverage floor, survive the crash/durability gate,
 # keep encoding/gob out of everything that ships, keep the request record
-# the only context value, and keep request classes out of internal/resilience.
+# the only context value, keep request classes out of internal/resilience,
+# and keep the wait on a prepared mark inside internal/milana.
 check:
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(MAKE) nogob
 	$(MAKE) onecarrier
 	$(MAKE) oneroute
+	$(MAKE) onepark
 	$(GO) test -race ./...
 	$(MAKE) cover
 	$(MAKE) crash

@@ -239,7 +239,9 @@ func main() {
 		printLatencyTable("transaction stages (cluster-wide)", merged, "milana_txn_stage_ns")
 		printLatencyTable("server op latency (cluster-wide)", merged, "semel_serve_ns")
 		printLatencyTable("server stage ledger (per-request attribution)", merged, "server_stage_ledger_ns")
+		printLatencyTable("parks on a prepared mark (wait)", merged, "milana_park_ns")
 		printCounterTable("abort reasons", merged, "milana_aborts_total")
+		printCounterTable("parks expired (bound or context)", merged, "milana_park_expired_total")
 		printCounterTable("sweep outcomes", merged, "milana_sweep_total")
 		printCounterTable("admission sheds (by priority)", merged, "admission_shed_total")
 		printCounterTable("deadline drops (admission)", merged, "admission_deadline_dropped_total")

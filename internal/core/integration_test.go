@@ -4,9 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"strconv"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -278,7 +276,11 @@ func TestPrepareParkNoDeadlockAcrossShards(t *testing.T) {
 		resp, took := prepare(b, sx, x)
 		bVote <- vote{resp, took}
 	}()
-	waitPreparesParked(t, 1)
+	px, err := c.Dir.Primary(sx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitPreparesParked(t, c.Server(px), 1)
 	resp, took := prepare(a, sy, y)
 	if resp.OK || resp.Code != wire.AbortWritePrepared || took >= milana.DecisionWait {
 		t.Fatalf("A on B's younger mark voted %+v after %v; want write-prepared NO well before %v", resp, took, milana.DecisionWait)
@@ -299,14 +301,11 @@ func TestPrepareParkNoDeadlockAcrossShards(t *testing.T) {
 }
 
 // waitPreparesParked waits until n prepares are parked on an older
-// transaction's decision.
-func waitPreparesParked(t *testing.T, n int) {
+// transaction's decision at srv.
+func waitPreparesParked(t *testing.T, srv *semel.Server, n int64) {
 	t.Helper()
-	buf := make([]byte, 1<<20)
-	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
-		if strings.Count(string(buf[:runtime.Stack(buf, true)]), "milana.awaitHolder") >= n {
-			return
-		}
+	parked := srv.Metrics().Gauge(`milana_parked{op="prepare"}`)
+	for deadline := time.Now().Add(5 * time.Second); parked.Value() < n; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatalf("fewer than %d prepares ever parked", n)
 		}

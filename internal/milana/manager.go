@@ -78,19 +78,69 @@ const decidedRetention = 60 * time.Second
 // waiting.
 const DecisionWait = 50 * time.Millisecond
 
-// keyMeta is the DRAM-only per-key state of §4.1. A prepared mark
-// (hasPrepared, preparedTs, preparedBy) also carries decided, a channel
-// closed when the mark is released, on which reads of the prepared version
-// (see OnGet) and younger prepares writing the key (see Prepare) park. Only
-// a serving primary holds marks (see ArmPrepared).
+// keyMeta is the DRAM-only per-key state of §4.1. Only a serving primary
+// holds prepared marks (see ArmPrepared).
 type keyMeta struct {
 	latestRead      clock.Timestamp
 	latestCommitted clock.Timestamp
 	committedInit   bool
-	preparedTs      clock.Timestamp
-	preparedBy      wire.TxnID
-	hasPrepared     bool
-	decided         chan struct{}
+	mark            mark
+}
+
+// mark is a prepared mark: transaction by holds a version prepared at ts.
+// decided is closed when the mark is released; reads (OnGet) and younger
+// prepares (Prepare) park on it. A key is marked iff decided != nil.
+type mark struct {
+	ts      clock.Timestamp
+	by      wire.TxnID
+	decided chan struct{}
+}
+
+// The two kinds of request that park on a mark, indexing managerMetrics.park.
+const (
+	parkRead = iota
+	parkPrepare
+)
+
+// parkMetrics counts one kind of park: one wait observation per park, the
+// requests parked now, and the parks the bound or ctx ended first.
+type parkMetrics struct {
+	ns      *obs.Histogram
+	parked  *obs.Gauge
+	expired *obs.Counter
+}
+
+// decisionWaiter is the one wait on a prepared mark: every park of a request
+// goes through await, under one DecisionWait bound armed at its first park.
+type decisionWaiter struct {
+	pm    *parkMetrics
+	bound *time.Timer
+}
+
+// await parks on a mark's decided channel and reports whether the decision
+// landed before the request's bound fired or its ctx ended.
+func (w *decisionWaiter) await(ctx context.Context, decided <-chan struct{}) bool {
+	if w.bound == nil {
+		w.bound = time.NewTimer(DecisionWait)
+	}
+	start := time.Now()
+	defer w.pm.ns.ObserveSince(start)
+	w.pm.parked.Add(1)
+	defer w.pm.parked.Add(-1)
+	select {
+	case <-decided:
+		return true
+	case <-w.bound.C:
+	case <-ctx.Done():
+	}
+	w.pm.expired.Inc()
+	return false
+}
+
+func (w *decisionWaiter) stop() {
+	if w.bound != nil {
+		w.bound.Stop()
+	}
 }
 
 type txnState struct {
@@ -113,7 +163,8 @@ type decidedEntry struct {
 
 // managerMetrics are the Manager's cached observability handles — the
 // server-side halves of the txn lifecycle (validate / prepare / decision),
-// the Algorithm 1 abort-reason breakdown, and the CTP sweeper outcomes.
+// the Algorithm 1 abort-reason breakdown, the CTP sweeper outcomes, and the
+// parks on prepared marks.
 // All handles are nil-safe, so an uninstrumented Manager pays one nil check
 // per site.
 type managerMetrics struct {
@@ -130,6 +181,8 @@ type managerMetrics struct {
 	// the skew share.
 	provSkew     *obs.Counter
 	provConflict *obs.Counter
+
+	park [2]parkMetrics // parkRead, parkPrepare
 }
 
 // Manager is the per-replica transaction module.
@@ -183,6 +236,13 @@ func (m *Manager) SetMetrics(reg *obs.Registry) {
 	}
 	m.om.provSkew = reg.Counter(`milana_abort_provenance_total{cause="skew"}`)
 	m.om.provConflict = reg.Counter(`milana_abort_provenance_total{cause="conflict"}`)
+	for i, op := range []string{"read", "prepare"} {
+		m.om.park[i] = parkMetrics{
+			ns:      reg.Histogram(`milana_park_ns{op="` + op + `"}`),
+			parked:  reg.Gauge(`milana_parked{op="` + op + `"}`),
+			expired: reg.Counter(`milana_park_expired_total{op="` + op + `"}`),
+		}
+	}
 }
 
 // SetSkewWindow sets the margin at or below which a losing Late* timestamp
@@ -236,20 +296,40 @@ func (m *Manager) metaLocked(key []byte) *keyMeta {
 	return km
 }
 
-// OnGet records a read at timestamp `at`. When the key has a prepared
-// version with timestamp ≤ at — the bit a MILANA client needs for local
-// validation (§4.3) — it returns a channel that closes once that
-// transaction's decision has been applied and its mark released; otherwise
-// nil.
-func (m *Manager) OnGet(key []byte, at clock.Timestamp) (decided <-chan struct{}) {
+// OnGet records a read of key at timestamp `at` and returns the bit a MILANA
+// client needs for local validation (§4.3): whether the key still has a
+// prepared version at or before `at`. A read that meets one parks on its
+// transaction's decision and looks again — so it reads the decided value
+// instead of sending its client into an abort-and-retry spin — for at most
+// DecisionWait or until ctx ends. Parking is serializable for the reason
+// client-local validation is: latestRead is raised to `at` before the first
+// park, so no writer at or below `at` can validate after it, and once the
+// prepared transaction decides, the snapshot at `at` is final.
+func (m *Manager) OnGet(ctx context.Context, key []byte, at clock.Timestamp) (prepared bool) {
+	w := decisionWaiter{pm: &m.om.park[parkRead]}
+	defer w.stop()
+	for {
+		decided := m.recordRead(key, at)
+		if decided == nil {
+			return false
+		}
+		if !w.await(ctx, decided) {
+			return true
+		}
+	}
+}
+
+// recordRead raises key's latestRead to at and returns the decided channel of
+// its mark if the mark is at or before at, else nil.
+func (m *Manager) recordRead(key []byte, at clock.Timestamp) <-chan struct{} {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	km := m.metaLocked(key)
 	if at.After(km.latestRead) {
 		km.latestRead = at
 	}
-	if km.hasPrepared && km.preparedTs.AtOrBefore(at) {
-		return km.decided
+	if km.mark.decided != nil && km.mark.ts.AtOrBefore(at) {
+		return km.mark.decided
 	}
 	return nil
 }
@@ -294,7 +374,8 @@ func (m *Manager) Prepare(ctx context.Context, req wire.PrepareRequest) (wire.Pr
 		Participants: req.Participants,
 		Status:       wire.StatusPrepared,
 	}
-	var bound *time.Timer // armed at the first park; one bound for all of them
+	w := decisionWaiter{pm: &m.om.park[parkPrepare]}
+	defer w.stop()
 	mayPark := true
 	for {
 		m.mu.Lock()
@@ -331,11 +412,7 @@ func (m *Manager) Prepare(ctx context.Context, req wire.PrepareRequest) (wire.Pr
 		obs.AttributeStage(ctx, obs.StageValidate, time.Since(valStart))
 		if holder != nil && mayPark {
 			m.mu.Unlock()
-			if bound == nil {
-				bound = time.NewTimer(DecisionWait)
-				defer bound.Stop()
-			}
-			mayPark = awaitHolder(ctx, holder, bound.C)
+			mayPark = w.await(ctx, holder)
 			continue
 		}
 		if reason != "" {
@@ -353,19 +430,6 @@ func (m *Manager) Prepare(ctx context.Context, req wire.PrepareRequest) (wire.Pr
 		st.vote, st.voteErr = m.persistPrepare(ctx, st)
 		close(st.persisted)
 		return st.vote, st.voteErr
-	}
-}
-
-// awaitHolder parks a prepare on an older holder's decision channel and
-// reports whether the decision landed before bound fired or ctx ended.
-func awaitHolder(ctx context.Context, decided <-chan struct{}, bound <-chan time.Time) bool {
-	select {
-	case <-decided:
-		return true
-	case <-bound:
-		return false
-	case <-ctx.Done():
-		return false
 	}
 }
 
@@ -422,7 +486,7 @@ func (m *Manager) validateLocked(req wire.PrepareRequest) (reason string, code w
 	if !m.skipReadValidation.Load() {
 		for _, rk := range req.ReadSet {
 			km := m.metaLocked(rk.Key)
-			if km.hasPrepared && km.preparedBy != req.ID {
+			if km.mark.decided != nil && km.mark.by != req.ID {
 				return fmt.Sprintf("read key %q has a prepared version", rk.Key), wire.AbortReadPrepared, -1, nil
 			}
 			if km.latestCommitted != rk.Version {
@@ -434,12 +498,12 @@ func (m *Manager) validateLocked(req wire.PrepareRequest) (reason string, code w
 	var heldKey []byte
 	for _, kv := range req.WriteSet {
 		km := m.metaLocked(kv.Key)
-		if km.hasPrepared && km.preparedBy != req.ID {
-			if !km.preparedTs.Before(newVersion) {
+		if km.mark.decided != nil && km.mark.by != req.ID {
+			if !km.mark.ts.Before(newVersion) {
 				return fmt.Sprintf("write key %q has a prepared version", kv.Key), wire.AbortWritePrepared, -1, nil
 			}
 			if holder == nil {
-				heldKey, holder = kv.Key, km.decided
+				heldKey, holder = kv.Key, km.mark.decided
 			}
 		}
 		if km.latestRead.Compare(newVersion) >= 0 {
@@ -473,16 +537,13 @@ func tickMargin(winner, loser clock.Timestamp) time.Duration {
 func (m *Manager) markPreparedLocked(rec wire.TxnRecord) {
 	for _, kv := range rec.WriteSet {
 		km := m.metaLocked(kv.Key)
-		if km.hasPrepared && km.preparedBy == rec.ID {
-			continue
+		if km.mark.decided != nil {
+			if km.mark.by == rec.ID {
+				continue
+			}
+			close(km.mark.decided)
 		}
-		if km.hasPrepared {
-			close(km.decided)
-		}
-		km.hasPrepared = true
-		km.preparedTs = rec.CommitTs
-		km.preparedBy = rec.ID
-		km.decided = make(chan struct{})
+		km.mark = mark{ts: rec.CommitTs, by: rec.ID, decided: make(chan struct{})}
 	}
 }
 
@@ -550,12 +611,9 @@ func (m *Manager) decideLocked(rec wire.TxnRecord) {
 		if km == nil {
 			continue
 		}
-		if km.hasPrepared && km.preparedBy == rec.ID {
-			km.hasPrepared = false
-			km.preparedTs = clock.Timestamp{}
-			km.preparedBy = wire.TxnID{}
-			close(km.decided)
-			km.decided = nil
+		if km.mark.decided != nil && km.mark.by == rec.ID {
+			close(km.mark.decided)
+			km.mark = mark{}
 		}
 		if rec.Status == wire.StatusCommitted && rec.CommitTs.After(km.latestCommitted) {
 			km.latestCommitted = rec.CommitTs

@@ -136,7 +136,7 @@ func TestValidationAbortsLateWriterAfterRead(t *testing.T) {
 	// writer — the rule that makes client-local validation safe (§4.3).
 	m := NewManager(newFakeHost())
 	ctx := context.Background()
-	if m.OnGet([]byte("a"), ts(500)) != nil {
+	if m.OnGet(ctx, []byte("a"), ts(500)) {
 		t.Fatal("fresh key reported prepared")
 	}
 	resp, _ := m.Prepare(ctx, prepReq(1, 400, nil, []wire.KV{{Key: []byte("a")}}))
@@ -182,87 +182,6 @@ func TestAbortDecisionReleasesPrepared(t *testing.T) {
 	resp, _ := m.Prepare(ctx, prepReq(2, 200, nil, []wire.KV{{Key: []byte("a")}}))
 	if !resp.OK {
 		t.Fatal("key still prepared after abort")
-	}
-}
-
-func TestOnGetPreparedBit(t *testing.T) {
-	m := NewManager(newFakeHost())
-	ctx := context.Background()
-	if resp, _ := m.Prepare(ctx, prepReq(1, 100, nil, []wire.KV{{Key: []byte("a")}})); !resp.OK {
-		t.Fatal("prepare")
-	}
-	if m.OnGet([]byte("a"), ts(150)) == nil {
-		t.Fatal("prepared version at 100 not reported for read at 150")
-	}
-	if m.OnGet([]byte("a"), ts(50)) != nil {
-		t.Fatal("prepared version at 100 wrongly reported for read at 50")
-	}
-	if m.OnGet([]byte("b"), ts(150)) != nil {
-		t.Fatal("unrelated key reported prepared")
-	}
-}
-
-// TestDecisionReleasesParkedReads checks the channel a read of a prepared
-// version parks on: it stays open while the transaction is prepared and
-// closes once either decision has been applied — the committed write
-// already in the backend — after which the key reports no prepared version.
-func TestDecisionReleasesParkedReads(t *testing.T) {
-	for _, commit := range []bool{true, false} {
-		t.Run(fmt.Sprintf("commit=%v", commit), func(t *testing.T) {
-			m := NewManager(newFakeHost())
-			ctx := context.Background()
-			req := prepReq(1, 100, nil, []wire.KV{{Key: []byte("a"), Val: []byte("new")}})
-			if resp, _ := m.Prepare(ctx, req); !resp.OK {
-				t.Fatal("prepare")
-			}
-			decided := m.OnGet([]byte("a"), ts(150))
-			if decided == nil {
-				t.Fatal("no channel for a read of a prepared version")
-			}
-			select {
-			case <-decided:
-				t.Fatal("channel closed before any decision")
-			default:
-			}
-			if _, err := m.Decision(ctx, wire.DecisionRequest{ID: req.ID, Commit: commit}); err != nil {
-				t.Fatal(err)
-			}
-			select {
-			case <-decided:
-			default:
-				t.Fatal("decision did not release the parked read")
-			}
-			if m.OnGet([]byte("a"), ts(150)) != nil {
-				t.Fatal("key still reports a prepared version after the decision")
-			}
-			if _, _, found, _ := m.host.Backend().Latest([]byte("a")); found != commit {
-				t.Fatalf("write applied = %v when the channel closed, want %v", found, commit)
-			}
-		})
-	}
-}
-
-// TestRecoveredMarkWakesParkedReads: arming a recovered table may re-arm a
-// key another transaction still marks; the reads parked on the old mark must
-// wake.
-func TestRecoveredMarkWakesParkedReads(t *testing.T) {
-	m := NewManager(newFakeHost())
-	if resp, _ := m.Prepare(context.Background(), prepReq(1, 100, nil, []wire.KV{{Key: []byte("a")}})); !resp.OK {
-		t.Fatal("prepare")
-	}
-	old := m.OnGet([]byte("a"), ts(300))
-	if err := m.Learn(context.Background(), wire.TxnRecord{ID: wire.TxnID{Client: 2, Seq: 1}, CommitTs: ts(200),
-		WriteSet: []wire.KV{{Key: []byte("a")}}, Status: wire.StatusPrepared}); err != nil {
-		t.Fatal(err)
-	}
-	m.ArmPrepared()
-	select {
-	case <-old:
-	default:
-		t.Fatal("overwritten mark left its parked reads waiting")
-	}
-	if m.OnGet([]byte("a"), ts(300)) == nil {
-		t.Fatal("recovered mark not reported")
 	}
 }
 
@@ -380,7 +299,7 @@ func TestFanOutFailureLogsAbort(t *testing.T) {
 	var released, abortedFirst bool
 	h.onPersist = func(msg any) {
 		if d, ok := msg.(wire.ReplicateDecision); ok && d.ID == req.ID && !d.Commit {
-			released = m.OnGet([]byte("a"), ts(100)) == nil
+			released = !m.OnGet(endedCtx(), []byte("a"), ts(100))
 			abortedFirst = m.Status(req.ID) == wire.StatusAborted
 		}
 	}

@@ -2,7 +2,6 @@ package milana
 
 import (
 	"context"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -11,16 +10,13 @@ import (
 	"repro/internal/wire"
 )
 
-// waitPreparesParked waits until n prepares are parked on a holder's decision.
-func waitPreparesParked(t *testing.T, n int) {
+// waitParked waits until n requests of kind op are parked on a decision.
+func waitParked(t *testing.T, reg *obs.Registry, op string, n int64) {
 	t.Helper()
-	buf := make([]byte, 1<<20)
-	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
-		if strings.Count(string(buf[:runtime.Stack(buf, true)]), "milana.awaitHolder") >= n {
-			return
-		}
+	parked := reg.Gauge(`milana_parked{op="` + op + `"}`)
+	for deadline := time.Now().Add(5 * time.Second); parked.Value() < n; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
-			t.Fatalf("fewer than %d prepares ever parked", n)
+			t.Fatalf("fewer than %d %ss ever parked", n, op)
 		}
 	}
 }
@@ -149,13 +145,13 @@ func TestPreparePark(t *testing.T) {
 			start := time.Now()
 			go prepare()
 			if c.parks {
-				waitPreparesParked(t, 1)
+				waitParked(t, reg, "prepare", 1)
 				if c.during != nil {
 					c.during(m, h, waiter)
 				}
 				if c.copies == 2 {
 					go prepare()
-					waitPreparesParked(t, 2)
+					waitParked(t, reg, "prepare", 2)
 				}
 				if c.decide != "" {
 					if _, err := m.Decision(context.Background(), wire.DecisionRequest{ID: holder.ID, Commit: c.decide == "commit"}); err != nil {
@@ -171,6 +167,9 @@ func TestPreparePark(t *testing.T) {
 			}
 			if waited := time.Since(start) >= DecisionWait; waited != c.waited {
 				t.Fatalf("voted after %v; want no earlier than the %v bound: %v", time.Since(start), DecisionWait, c.waited)
+			}
+			if parked := reg.Gauge(`milana_parked{op="prepare"}`).Value(); parked != 0 {
+				t.Fatalf("%d prepares still parked after every vote", parked)
 			}
 			if byReason, byCause := abortCounts(reg); byReason != c.wantAborts || byCause != c.wantAborts {
 				t.Fatalf("abort counters moved by %d (reason) and %d (provenance), want %d", byReason, byCause, c.wantAborts)

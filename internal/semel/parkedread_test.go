@@ -3,8 +3,6 @@ package semel
 import (
 	"context"
 	"errors"
-	"runtime"
-	"strings"
 	"testing"
 	"time"
 
@@ -64,13 +62,10 @@ func newParkedReadServer(t *testing.T) *Server {
 }
 
 // waitParked waits until n reads are parked on a decision.
-func waitParked(t *testing.T, n int) {
+func waitParked(t *testing.T, srv *Server, n int64) {
 	t.Helper()
-	buf := make([]byte, 1<<20)
-	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
-		if strings.Count(string(buf[:runtime.Stack(buf, true)]), "semel.(*Server).awaitDecision") >= n {
-			return
-		}
+	parked := srv.Metrics().Gauge(`milana_parked{op="read"}`)
+	for deadline := time.Now().Add(5 * time.Second); parked.Value() < n; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatalf("fewer than %d reads ever parked", n)
 		}
@@ -101,7 +96,7 @@ func TestParkedGetSeesDecision(t *testing.T) {
 				resp, err := srv.Serve(context.Background(), wire.GetRequest{Key: parkKey, At: readTs})
 				done <- result{resp, err}
 			}()
-			waitParked(t, 1)
+			waitParked(t, srv, 1)
 			if _, err := srv.Serve(context.Background(), wire.DecisionRequest{ID: pendingID, Commit: tc.commit}); err != nil {
 				t.Fatal(err)
 			}

@@ -520,8 +520,8 @@ func (s *Server) checkPrimaryLease() error {
 // unless the client opted into nearest-replica reads (§4.6), in which case
 // any replica answers from its backend, possibly slightly stale, and the
 // transaction must validate at the primary. Only the backend read is charged
-// to the ledger (flash-read); a park on a prepared version is charged to no
-// stage.
+// to the ledger (flash-read); a park on a prepared version (see
+// milana.Manager.OnGet) is charged to no stage, and milana_park_ns counts it.
 func (s *Server) handleGet(ctx context.Context, r wire.GetRequest) (wire.GetResponse, error) {
 	resp, read, err := s.get(ctx, r)
 	obs.AttributeStage(ctx, obs.StageFlashRead, read)
@@ -533,7 +533,7 @@ func (s *Server) handleGet(ctx context.Context, r wire.GetRequest) (wire.GetResp
 func (s *Server) get(ctx context.Context, r wire.GetRequest) (wire.GetResponse, time.Duration, error) {
 	prepared := false // only the primary tracks prepared versions
 	if err := s.checkPrimaryLease(); err == nil {
-		prepared = s.awaitDecision(ctx, r.Key, r.At)
+		prepared = s.mgr.OnGet(ctx, r.Key, r.At)
 	} else if !r.AnyReplica {
 		return wire.GetResponse{}, 0, err
 	}
@@ -547,35 +547,6 @@ func (s *Server) get(ctx context.Context, r wire.GetRequest) (wire.GetResponse, 
 		return wire.GetResponse{}, read, err
 	}
 	return wire.GetResponse{Val: val, Version: ver, Found: found, PreparedAtOrBefore: prepared}, read, nil
-}
-
-// awaitDecision records a read of key at `at` and reports whether the key
-// still has a prepared version at or before `at`. When it has one, the read
-// parks until that transaction's decision releases the key — then reads the
-// decided value instead of sending the client into an abort-and-retry spin —
-// for at most milana.DecisionWait or until ctx ends. Parking is serializable
-// for the reason client-local validation is (§4.3): the first OnGet already
-// raised the key's latestRead to `at`, so no writer at or below `at` can
-// validate after it, and once the prepared transaction decides, the
-// snapshot at `at` is final.
-func (s *Server) awaitDecision(ctx context.Context, key []byte, at clock.Timestamp) bool {
-	decided := s.mgr.OnGet(key, at)
-	if decided == nil {
-		return false
-	}
-	bound := time.NewTimer(milana.DecisionWait)
-	defer bound.Stop()
-	for decided != nil {
-		select {
-		case <-decided:
-		case <-bound.C:
-			return true
-		case <-ctx.Done():
-			return true
-		}
-		decided = s.mgr.OnGet(key, at)
-	}
-	return false
 }
 
 // handleMultiGet fans a snapshot read out across its keys concurrently, so

@@ -30,8 +30,9 @@ type GetResponse struct {
 	Val     []byte
 	Version clock.Timestamp
 	Found   bool
-	// PreparedAtOrBefore reports whether the key had a prepared (but not
-	// yet committed) version with timestamp ≤ At at read time.
+	// PreparedAtOrBefore reports whether the key still had a prepared (but
+	// not yet decided) version with timestamp ≤ At after a bounded park on
+	// that transaction's decision.
 	PreparedAtOrBefore bool
 	// SnapshotMiss reports that the snapshot at At is no longer
 	// available (single-version backends only); the reader must abort.
