@@ -129,13 +129,15 @@ func (d *Directory) Shard(id ShardID) (ReplicaSet, error) {
 	return d.copyLocked(id), nil
 }
 
-// Primary returns the current primary address of a shard.
+// Primary returns the current primary address of a shard, without copying
+// its replica set.
 func (d *Directory) Primary(id ShardID) (string, error) {
-	rs, err := d.Shard(id)
-	if err != nil {
-		return "", err
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	if int(id) < 0 || int(id) >= len(d.shards) {
+		return "", fmt.Errorf("cluster: no shard %d", id)
 	}
-	return rs.Primary, nil
+	return d.shards[id].Primary, nil
 }
 
 func (d *Directory) copyLocked(id ShardID) ReplicaSet {

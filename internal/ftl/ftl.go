@@ -293,14 +293,19 @@ func (f *FTL) allocAndProgram(ch int, data []byte) (int32, error) {
 		}
 		if len(f.free) <= gcReserveBlocks {
 			f.mapMu.Unlock()
-			f.collect(ch)
+			refilled := f.collect()
 			f.mapMu.Lock()
-		}
-		if len(f.free) <= 1 {
-			// The last free block is reserved for the GC frontier;
-			// consuming it could wedge collection permanently.
-			f.mapMu.Unlock()
-			return 0, ErrNoSpace
+			if len(f.free) <= 1 {
+				// The last free block is reserved for the GC frontier;
+				// consuming it could wedge collection permanently. Other
+				// channels' writers may have drained the blocks this pass
+				// freed: collect again while passes still free blocks.
+				if refilled {
+					continue
+				}
+				f.mapMu.Unlock()
+				return 0, ErrNoSpace
+			}
 		}
 		blk, ok := f.takeFreeBlockLocked(ch)
 		if !ok {
@@ -353,11 +358,12 @@ func (f *FTL) takeFreeBlockLocked(ch int) (int, bool) {
 }
 
 // collect runs greedy garbage collection until the free pool is replenished
-// or no block has any garbage. Callers must NOT hold mapMu. Relocated pages
-// are written through a dedicated GC frontier so collection can always make
-// progress regardless of host-frontier state.
-func (f *FTL) collect(ch int) {
-	_ = ch
+// or no block has any garbage, and reports whether the pool was refilled:
+// this pass erased a block, or found the pool above the reserve. It stops at
+// the first victim it cannot relocate, so it never spins on one. Callers must
+// NOT hold mapMu. Relocated pages are written through a dedicated GC frontier
+// so collection can always make progress regardless of host-frontier state.
+func (f *FTL) collect() (refilled bool) {
 	f.gcMu.Lock()
 	defer f.gcMu.Unlock()
 	start := time.Now()
@@ -375,15 +381,17 @@ func (f *FTL) collect(ch int) {
 		f.mapMu.Lock()
 		if len(f.free) > gcReserveBlocks {
 			f.mapMu.Unlock()
-			return
+			return true
 		}
 		victim := f.pickVictimLocked()
 		f.mapMu.Unlock()
 		if victim < 0 {
-			return // nothing reclaimable; caller will observe ErrNoSpace
+			return collected // nothing reclaimable
+		}
+		if !f.relocateAndErase(victim) {
+			return collected
 		}
 		collected = true
-		f.relocateAndErase(victim)
 	}
 }
 
@@ -410,10 +418,10 @@ func (f *FTL) pickVictimLocked() int {
 }
 
 // relocateAndErase moves every still-valid page out of victim (through the
-// GC frontier) and erases it. If any page cannot be relocated the block is
-// left sealed (its data intact) for a later attempt. The caller must hold
-// gcMu, not mapMu.
-func (f *FTL) relocateAndErase(victim int) {
+// GC frontier), erases it and reports whether it did. If any page cannot be
+// relocated the block is left sealed (its data intact) for a later attempt.
+// The caller must hold gcMu, not mapMu.
+func (f *FTL) relocateAndErase(victim int) bool {
 	base := int32(victim * f.geo.PagesPerBlock)
 	for p := 0; p < f.geo.PagesPerBlock; p++ {
 		srcPPN := base + int32(p)
@@ -429,7 +437,7 @@ func (f *FTL) relocateAndErase(victim int) {
 		}
 		dstPPN, err := f.gcProgram(data)
 		if err != nil {
-			return // cannot relocate safely; leave victim sealed
+			return false // cannot relocate safely; leave victim sealed
 		}
 		f.mapMu.Lock()
 		// Only install if the mapping did not change while we copied
@@ -444,7 +452,7 @@ func (f *FTL) relocateAndErase(victim int) {
 	if f.valid[victim] != 0 {
 		// A page slipped back in (should not happen); refuse to erase.
 		f.mapMu.Unlock()
-		return
+		return false
 	}
 	// Wait out readers that pinned the block before we unmapped its pages.
 	for f.pins[victim] > 0 {
@@ -462,6 +470,7 @@ func (f *FTL) relocateAndErase(victim int) {
 	f.free = append(f.free, victim)
 	f.noteFreeBlocks()
 	f.mapMu.Unlock()
+	return true
 }
 
 // gcProgram writes relocated data through the dedicated GC frontier,

@@ -286,6 +286,9 @@ func (s *Store) Flush() {
 	}
 }
 
+// Blocking is true: reads and writes wait on flash pages.
+func (s *Store) Blocking() bool { return true }
+
 // SetMetrics forwards the metrics registry to the underlying FTL (GC pause,
 // free-pool gauge) and through it to the device (queue depth, wear).
 func (s *Store) SetMetrics(reg *obs.Registry) { s.f.SetMetrics(reg) }

@@ -280,12 +280,12 @@ func (m *Manager) countAbort(code wire.AbortReason) {
 // meta returns (creating if needed) the key's OCC state, lazily priming
 // latestCommitted from the backend — after failover these values "can be
 // inferred ... from the version stamps included with each write" (§4.5).
+// The lookup converts key without allocating; only an insert copies it.
 func (m *Manager) metaLocked(key []byte) *keyMeta {
-	k := string(key)
-	km := m.keys[k]
+	km := m.keys[string(key)]
 	if km == nil {
 		km = &keyMeta{latestRead: m.recoveryFloor}
-		m.keys[k] = km
+		m.keys[string(key)] = km
 	}
 	if !km.committedInit {
 		if ver, _, found := m.host.Backend().LatestVersion(key); found {
@@ -296,42 +296,53 @@ func (m *Manager) metaLocked(key []byte) *keyMeta {
 	return km
 }
 
-// OnGet records a read of key at timestamp `at` and returns the bit a MILANA
-// client needs for local validation (§4.3): whether the key still has a
-// prepared version at or before `at`. A read that meets one parks on its
-// transaction's decision and looks again — so it reads the decided value
-// instead of sending its client into an abort-and-retry spin — for at most
-// DecisionWait or until ctx ends. Parking is serializable for the reason
-// client-local validation is: latestRead is raised to `at` before the first
-// park, so no writer at or below `at` can validate after it, and once the
-// prepared transaction decides, the snapshot at `at` is final.
-func (m *Manager) OnGet(ctx context.Context, key []byte, at clock.Timestamp) (prepared bool) {
+// OnGet records a read of keys at timestamp `at` — one key for a Get, a
+// request's keys for a MultiGet — and sets prepared[i] to the bit a MILANA
+// client needs for local validation (§4.3): whether keys[i] still has a
+// prepared version at or before `at`. A read that meets such marks parks on
+// their transactions' decisions and looks again — so it reads the decided
+// values instead of sending its client into an abort-and-retry spin — for at
+// most DecisionWait in all, or until ctx ends; then it answers with the marks
+// that remain. Parking is serializable for the reason client-local
+// validation is: latestRead is raised to `at` on every key, under one hold of
+// m.mu, before the first park, so no writer at or below `at` can validate
+// after it, and once the prepared transactions decide, the snapshot at `at`
+// is final.
+func (m *Manager) OnGet(ctx context.Context, keys [][]byte, at clock.Timestamp, prepared []bool) {
+	held := m.recordReads(keys, at, prepared)
+	if len(held) == 0 {
+		return
+	}
 	w := decisionWaiter{pm: &m.om.park[parkRead]}
 	defer w.stop()
-	for {
-		decided := m.recordRead(key, at)
-		if decided == nil {
-			return false
+	for len(held) > 0 {
+		for _, decided := range held {
+			if !w.await(ctx, decided) {
+				m.recordReads(keys, at, prepared)
+				return
+			}
 		}
-		if !w.await(ctx, decided) {
-			return true
-		}
+		held = m.recordReads(keys, at, prepared)
 	}
 }
 
-// recordRead raises key's latestRead to at and returns the decided channel of
-// its mark if the mark is at or before at, else nil.
-func (m *Manager) recordRead(key []byte, at clock.Timestamp) <-chan struct{} {
+// recordReads raises latestRead to at on every key, sets prepared[i] to
+// whether keys[i] has a mark at or before at, and returns those marks'
+// decided channels.
+func (m *Manager) recordReads(keys [][]byte, at clock.Timestamp, prepared []bool) (held []<-chan struct{}) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	km := m.metaLocked(key)
-	if at.After(km.latestRead) {
-		km.latestRead = at
+	for i, key := range keys {
+		km := m.metaLocked(key)
+		if at.After(km.latestRead) {
+			km.latestRead = at
+		}
+		prepared[i] = km.mark.decided != nil && km.mark.ts.AtOrBefore(at)
+		if prepared[i] {
+			held = append(held, km.mark.decided)
+		}
 	}
-	if km.mark.decided != nil && km.mark.ts.AtOrBefore(at) {
-		return km.mark.decided
-	}
-	return nil
+	return held
 }
 
 // OnCommittedWrite records that a version of key committed (used by both
@@ -662,31 +673,22 @@ func (m *Manager) applyDecision(ctx context.Context, st *txnState, d wire.Replic
 }
 
 // applyWriteSet writes every key of a committed transaction to the backend
-// concurrently and returns the first error. The whole apply — one shared
-// flash-page program in the common case — is charged to the caller's
-// flash-program stage when ctx carries a ledger.
+// through storage.ForEach — concurrently on flash, where the puts pack into
+// shared pages and the prepared window (during which validations against
+// these keys abort) stays near one device write, not one per key; inline on
+// DRAM, which never waits — and returns the lowest-index error. The whole
+// apply is charged to the caller's flash-program stage when ctx carries a
+// ledger.
 func (m *Manager) applyWriteSet(ctx context.Context, rec wire.TxnRecord) error {
 	if led := obs.ReqFrom(ctx).Ledger; led != nil {
 		start := time.Now()
 		defer func() { led.Add(obs.StageFlashProgram, time.Since(start)) }()
 	}
-	if len(rec.WriteSet) == 1 {
-		kv := rec.WriteSet[0]
-		return m.host.Backend().Put(kv.Key, kv.Val, rec.CommitTs)
-	}
-	errs := make(chan error, len(rec.WriteSet))
-	for _, kv := range rec.WriteSet {
-		go func(kv wire.KV) {
-			errs <- m.host.Backend().Put(kv.Key, kv.Val, rec.CommitTs)
-		}(kv)
-	}
-	var firstErr error
-	for range rec.WriteSet {
-		if err := <-errs; err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
+	b := m.host.Backend()
+	return storage.ForEach(b, len(rec.WriteSet), func(i int) error {
+		kv := rec.WriteSet[i]
+		return b.Put(kv.Key, kv.Val, rec.CommitTs)
+	})
 }
 
 // Status serves CTP queries (§4.5).

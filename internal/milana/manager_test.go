@@ -136,7 +136,7 @@ func TestValidationAbortsLateWriterAfterRead(t *testing.T) {
 	// writer — the rule that makes client-local validation safe (§4.3).
 	m := NewManager(newFakeHost())
 	ctx := context.Background()
-	if m.OnGet(ctx, []byte("a"), ts(500)) {
+	if onGet(m, ctx, []byte("a"), ts(500)) {
 		t.Fatal("fresh key reported prepared")
 	}
 	resp, _ := m.Prepare(ctx, prepReq(1, 400, nil, []wire.KV{{Key: []byte("a")}}))
@@ -299,7 +299,7 @@ func TestFanOutFailureLogsAbort(t *testing.T) {
 	var released, abortedFirst bool
 	h.onPersist = func(msg any) {
 		if d, ok := msg.(wire.ReplicateDecision); ok && d.ID == req.ID && !d.Commit {
-			released = !m.OnGet(endedCtx(), []byte("a"), ts(100))
+			released = !onGet(m, endedCtx(), []byte("a"), ts(100))
 			abortedFirst = m.Status(req.ID) == wire.StatusAborted
 		}
 	}
@@ -636,5 +636,48 @@ func TestMergeRecoveredGraftsWriteSetFromLocal(t *testing.T) {
 	}
 	if m.Status(rec.ID) != wire.StatusCommitted {
 		t.Fatalf("status = %v", m.Status(rec.ID))
+	}
+}
+
+// slowBackend is a backend that waits on a device: every Put takes d.
+type slowBackend struct {
+	storage.Backend
+	d time.Duration
+}
+
+func (b slowBackend) Put(key, val []byte, ver clock.Timestamp) error {
+	time.Sleep(b.d)
+	return b.Backend.Put(key, val, ver)
+}
+
+func (slowBackend) Blocking() bool { return true }
+
+// TestCommitApplyOverlapsOnBlockingBackend: on a backend whose calls wait on a
+// device, a commit applies its write set concurrently — five puts that each
+// take d finish in under 2d — and every key holds the committed value.
+func TestCommitApplyOverlapsOnBlockingBackend(t *testing.T) {
+	const d = 100 * time.Millisecond
+	h := newFakeHost()
+	h.backend = slowBackend{Backend: storage.NewDRAM(), d: d}
+	m := NewManager(h)
+	ctx := context.Background()
+	var writes []wire.KV
+	for i := 0; i < 5; i++ {
+		writes = append(writes, wire.KV{Key: []byte(fmt.Sprintf("k%d", i)), Val: []byte("v")})
+	}
+	if resp, err := m.Prepare(ctx, prepReq(1, 100, nil, writes)); err != nil || !resp.OK {
+		t.Fatalf("prepare: %+v %v", resp, err)
+	}
+	start := time.Now()
+	if _, err := m.Decision(ctx, wire.DecisionRequest{ID: wire.TxnID{Client: 1, Seq: 1}, Commit: true}); err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took >= 2*d {
+		t.Fatalf("a 5-key commit with %v puts applied in %v, want under %v", d, took, 2*d)
+	}
+	for _, kv := range writes {
+		if val, _, found, err := h.backend.Get(kv.Key, ts(100)); err != nil || !found || string(val) != "v" {
+			t.Fatalf("key %q after commit: %q %v %v", kv.Key, val, found, err)
+		}
 	}
 }

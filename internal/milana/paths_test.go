@@ -184,7 +184,7 @@ func TestRecordPathsEquivalent(t *testing.T) {
 						val, ver, found, _ := m.host.Backend().Latest(key)
 						got.val, got.ver, got.found = string(val), ver, found
 						m.ArmPrepared()
-						got.marked = m.OnGet(endedCtx(), key, ts(1000))
+						got.marked = onGet(m, endedCtx(), key, ts(1000))
 						got.latestCommitted = m.LatestCommitted(key)
 
 						want := replicaState{status: wire.StatusAborted}
@@ -253,7 +253,7 @@ func TestRecordPathsReplayedPrepareThenLearnedCommit(t *testing.T) {
 	learn(t, m, rec)
 	m.ArmPrepared()
 	learn(t, m, wire.ReplicateDecision{ID: rec.ID, Commit: true}.Record())
-	if m.OnGet(endedCtx(), []byte("a"), ts(150)) {
+	if onGet(m, endedCtx(), []byte("a"), ts(150)) {
 		t.Fatal("the committed transaction still marks its key")
 	}
 	if got := m.LatestCommitted([]byte("a")); got != ts(100) {
@@ -282,7 +282,7 @@ func TestMergeReplayedPrepareWithBareDecision(t *testing.T) {
 			m.ArmPrepared()
 			merged(t, m, wire.TxnRecord{ID: rec.ID, Status: status})
 			m.ArmPrepared()
-			if m.OnGet(endedCtx(), []byte("a"), ts(150)) {
+			if onGet(m, endedCtx(), []byte("a"), ts(150)) {
 				t.Fatalf("merged %v left the mark", status)
 			}
 			if got := m.Status(rec.ID); got != status {

@@ -50,7 +50,7 @@ func TestAbortProvenanceClassification(t *testing.T) {
 
 	// AbortLateWriteRead by 30 ≤ window: skew-induced. ("b" read at 630, a
 	// writer stamped 600 loses by 30.)
-	m.OnGet(ctx, []byte("b"), ts(630))
+	onGet(m, ctx, []byte("b"), ts(630))
 	if resp, _ := m.Prepare(ctx, prepReq(4, 600, nil, []wire.KV{{Key: []byte("b")}})); resp.OK || resp.Code != wire.AbortLateWriteRead {
 		t.Fatalf("T4 should lose to the read: %+v", resp)
 	}

@@ -5,9 +5,17 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/obs"
 	"repro/internal/wire"
 )
+
+// onGet is a single-key read through OnGet: it returns the key's prepared bit.
+func onGet(m *Manager, ctx context.Context, key []byte, at clock.Timestamp) bool {
+	var prepared [1]bool
+	m.OnGet(ctx, [][]byte{key}, at, prepared[:])
+	return prepared[0]
+}
 
 // endedCtx is an already-ended context: OnGet under it reports a key's mark
 // without waiting for the decision.
@@ -22,14 +30,17 @@ func endedCtx() context.Context {
 // after the park — cleared by either decision, whose commit is already in the
 // backend when the read wakes; set when the bound or the read's context ends
 // first. A read below the mark, or of another key, never parks; a mark
-// re-armed under a parked read wakes it to park again on the new mark.
+// re-armed under a parked read wakes it to park again on the new mark. A
+// MultiGet raises latestRead on all its keys before it parks on the first.
 func TestReadPark(t *testing.T) {
 	key := []byte("k")
 	holderID := wire.TxnID{Client: 1, Seq: 1}
 	rearmID := wire.TxnID{Client: 3, Seq: 1}
 	for _, c := range []struct {
-		name     string
-		key      string
+		name string
+		// keys are the read's keys; default just the holder's. The
+		// holder's key comes first, and only it is ever prepared.
+		keys     []string
 		at       int64
 		parks    bool
 		ctxEnded bool
@@ -50,7 +61,7 @@ func TestReadPark(t *testing.T) {
 		{name: "bound", at: 150, parks: true, wantPrepared: true, wantVal: "old", waited: true, wantParks: 1, wantExpired: 1},
 		{name: "context-ended", at: 150, ctxEnded: true, wantPrepared: true, wantVal: "old", wantParks: 1, wantExpired: 1},
 		{name: "below-mark", at: 50, wantVal: "old"},
-		{name: "other-key", key: "other", at: 150},
+		{name: "other-key", keys: []string{"other"}, at: 150},
 		{
 			name: "mark-rearmed", at: 150, parks: true, decide: "commit", wantVal: "rearmed", wantParks: 2,
 			during: func(t *testing.T, m *Manager, reg *obs.Registry) {
@@ -91,6 +102,22 @@ func TestReadPark(t *testing.T) {
 				}
 			},
 		},
+		{
+			name: "multiget-writer-on-last-key", keys: []string{"k", "a", "last"}, at: 150, parks: true,
+			decide: "commit", wantVal: "holder", wantParks: 1,
+			during: func(t *testing.T, m *Manager, _ *obs.Registry) {
+				// The read is parked on its first key, and its last key
+				// has no mark: its read was still recorded before the park.
+				start := time.Now()
+				resp, err := m.Prepare(context.Background(), prepReq(2, 120, nil, []wire.KV{{Key: []byte("last"), Val: []byte("writer")}}))
+				if err != nil || resp.OK || resp.Code != wire.AbortLateWriteRead {
+					t.Fatalf("writer on the parked read's last key voted %+v, %v; want late-write-vs-read NO", resp, err)
+				}
+				if took := time.Since(start); took >= DecisionWait {
+					t.Fatalf("writer on the parked read's last key voted after %v, want at once", took)
+				}
+			},
+		},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			h := newFakeHost()
@@ -102,17 +129,25 @@ func TestReadPark(t *testing.T) {
 			if resp, err := m.Prepare(context.Background(), holder); err != nil || !resp.OK {
 				t.Fatalf("holder prepare: %+v %v", resp, err)
 			}
-			readKey := key
-			if c.key != "" {
-				readKey = []byte(c.key)
+			readKeys := [][]byte{key}
+			if c.keys != nil {
+				readKeys = nil
+				for _, k := range c.keys {
+					readKeys = append(readKeys, []byte(k))
+				}
 			}
+			readKey := readKeys[0]
 			ctx := context.Background()
 			if c.ctxEnded {
 				ctx = endedCtx()
 			}
-			answer := make(chan bool, 1)
+			answer := make(chan []bool, 1)
 			start := time.Now()
-			go func() { answer <- m.OnGet(ctx, readKey, ts(c.at)) }()
+			go func() {
+				prepared := make([]bool, len(readKeys))
+				m.OnGet(ctx, readKeys, ts(c.at), prepared)
+				answer <- prepared
+			}()
 			if c.parks {
 				waitParked(t, reg, "read", 1)
 				if c.during != nil {
@@ -124,8 +159,11 @@ func TestReadPark(t *testing.T) {
 					}
 				}
 			}
-			if prepared := <-answer; prepared != c.wantPrepared {
-				t.Fatalf("read at %d answered prepared %v, want %v", c.at, prepared, c.wantPrepared)
+			prepared := <-answer
+			for i, bit := range prepared {
+				if want := c.wantPrepared && i == 0; bit != want {
+					t.Fatalf("read at %d answered prepared %v for key %q, want %v", c.at, bit, readKeys[i], want)
+				}
 			}
 			if waited := time.Since(start) >= DecisionWait; waited != c.waited {
 				t.Fatalf("read answered after %v; want no earlier than the %v bound: %v", time.Since(start), DecisionWait, c.waited)
@@ -140,7 +178,7 @@ func TestReadPark(t *testing.T) {
 				snap.Gauges[`milana_parked{op="read"}`]; parks != c.wantParks || expired != c.wantExpired || parked != 0 {
 				t.Fatalf("parks %d, expired %d, still parked %d; want %d, %d, 0", parks, expired, parked, c.wantParks, c.wantExpired)
 			}
-			if c.decide != "" && m.OnGet(endedCtx(), readKey, ts(c.at)) {
+			if c.decide != "" && onGet(m, endedCtx(), readKey, ts(c.at)) {
 				t.Fatal("key still reports a prepared version after the decision")
 			}
 		})
@@ -148,14 +186,15 @@ func TestReadPark(t *testing.T) {
 }
 
 // TestOnGetNoMarkAllocs: a read of a key with no mark takes no timer and
-// allocates nothing.
+// allocates nothing. The key is longer than one byte, since Go converts
+// one-byte slices to strings without allocating.
 func TestOnGetNoMarkAllocs(t *testing.T) {
 	m := NewManager(newFakeHost())
 	m.SetMetrics(obs.NewRegistry())
 	ctx := context.Background()
-	key := []byte("k")
-	m.OnGet(ctx, key, ts(1))
-	if n := testing.AllocsPerRun(100, func() { m.OnGet(ctx, key, ts(2)) }); n != 0 {
+	keys, prepared := [][]byte{[]byte("timeline:1234")}, make([]bool, 1)
+	m.OnGet(ctx, keys, ts(1), prepared)
+	if n := testing.AllocsPerRun(100, func() { m.OnGet(ctx, keys, ts(2), prepared) }); n != 0 {
 		t.Fatalf("OnGet on a touched key with no mark allocates %v times, want 0", n)
 	}
 }

@@ -387,6 +387,9 @@ func (s *Store) Flush() {
 	}
 }
 
+// Blocking is true: reads and writes wait on flash pages.
+func (s *Store) Blocking() bool { return true }
+
 // Stats returns a snapshot of the counters.
 func (s *Store) Stats() Stats {
 	return Stats{

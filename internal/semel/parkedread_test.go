@@ -114,7 +114,8 @@ func TestParkedGetSeesDecision(t *testing.T) {
 
 // TestParkedReadBounded: without a decision, a parked read answers with the
 // prepared bit after milana.DecisionWait, or as soon as its context ends if
-// that comes first — for a MultiGet's per-key workers too.
+// that comes first — for a MultiGet too, whose keys share one bound however
+// many of them are held.
 func TestParkedReadBounded(t *testing.T) {
 	srv := newParkedReadServer(t)
 	wantPrepared := func(t *testing.T, g wire.GetResponse) {
@@ -156,6 +157,39 @@ func TestParkedReadBounded(t *testing.T) {
 		wantPrepared(t, resp.(wire.MultiGetResponse).Items[0])
 		if waited := time.Since(start); waited >= milana.DecisionWait {
 			t.Fatalf("multiget with an ended context parked for %v", waited)
+		}
+	})
+	t.Run("multiget-three-held-keys", func(t *testing.T) {
+		// Two more undecided prepares hold two more keys: the MultiGet
+		// parks on all three marks under one bound, not one bound each.
+		keys := [][]byte{parkKey, []byte("k2"), []byte("k3")}
+		for i, key := range keys[1:] {
+			resp, err := srv.Serve(context.Background(), wire.PrepareRequest{
+				ID: wire.TxnID{Client: 1, Seq: uint64(2 + i)}, CommitTs: pendingTs, Participants: []int{0},
+				WriteSet: []wire.KV{{Key: key, Val: []byte("new")}},
+			})
+			if err != nil || !resp.(wire.PrepareResponse).OK {
+				t.Fatalf("prepare of %q: %+v %v", key, resp, err)
+			}
+		}
+		expired := srv.Metrics().Counter(`milana_park_expired_total{op="read"}`)
+		expiredBefore := expired.Value()
+		start := time.Now()
+		resp, err := srv.Serve(context.Background(), wire.MultiGetRequest{Keys: keys, At: readTs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		waited := time.Since(start)
+		for i, item := range resp.(wire.MultiGetResponse).Items {
+			if !item.PreparedAtOrBefore {
+				t.Fatalf("key %q answered %+v, want the prepared bit", keys[i], item)
+			}
+		}
+		if waited < milana.DecisionWait || waited >= 2*milana.DecisionWait {
+			t.Fatalf("multiget over three held keys answered after %v, want one %v bound", waited, milana.DecisionWait)
+		}
+		if n := expired.Value() - expiredBefore; n != 1 {
+			t.Fatalf("%d read parks expired, want the request's one bound", n)
 		}
 	})
 	t.Run("before-prepare", func(t *testing.T) {

@@ -516,78 +516,75 @@ func (s *Server) checkPrimaryLease() error {
 }
 
 // handleGet serves a snapshot read at r.At and piggybacks the prepared bit
-// (§4.3). Reads execute only on a lease-holding primary (§3.3, §4.5) —
-// unless the client opted into nearest-replica reads (§4.6), in which case
-// any replica answers from its backend, possibly slightly stale, and the
-// transaction must validate at the primary. Only the backend read is charged
-// to the ledger (flash-read); a park on a prepared version (see
-// milana.Manager.OnGet) is charged to no stage, and milana_park_ns counts it.
+// (§4.3). Only the backend read is charged to the ledger (flash-read); a park
+// on a prepared version (see milana.Manager.OnGet) is charged to no stage,
+// and milana_park_ns counts it.
 func (s *Server) handleGet(ctx context.Context, r wire.GetRequest) (wire.GetResponse, error) {
-	resp, read, err := s.get(ctx, r)
-	obs.AttributeStage(ctx, obs.StageFlashRead, read)
+	var prepared [1]bool
+	if err := s.admitReads(ctx, [][]byte{r.Key}, r.At, r.AnyReplica, prepared[:]); err != nil {
+		return wire.GetResponse{}, err
+	}
+	readStart := time.Now()
+	resp, err := s.readVersion(r.Key, r.At, prepared[0])
+	obs.AttributeStage(ctx, obs.StageFlashRead, time.Since(readStart))
 	return resp, err
 }
 
-// get is handleGet without the ledger: it also returns how long the backend
-// read took (zero when there was none).
-func (s *Server) get(ctx context.Context, r wire.GetRequest) (wire.GetResponse, time.Duration, error) {
-	prepared := false // only the primary tracks prepared versions
-	if err := s.checkPrimaryLease(); err == nil {
-		prepared = s.mgr.OnGet(ctx, r.Key, r.At)
-	} else if !r.AnyReplica {
-		return wire.GetResponse{}, 0, err
-	}
-	readStart := time.Now()
-	val, ver, found, err := s.opt.Backend.Get(r.Key, r.At)
-	read := time.Since(readStart)
-	if errors.Is(err, storage.ErrSnapshotUnavailable) {
-		return wire.GetResponse{SnapshotMiss: true}, read, nil
-	}
-	if err != nil {
-		return wire.GetResponse{}, read, err
-	}
-	return wire.GetResponse{Val: val, Version: ver, Found: found, PreparedAtOrBefore: prepared}, read, nil
-}
-
-// handleMultiGet fans a snapshot read out across its keys concurrently, so
-// independent keys exercise the flash emulator's channels in parallel
-// instead of convoying behind one another's page reads. A single key is read
-// inline: there is nothing to overlap.
+// handleMultiGet serves a snapshot read of r.Keys at r.At. It records every
+// key's read, and parks on the prepared marks they meet under one bound,
+// before it reads any of them, so no key's read is recorded late; then it
+// reads the backend through storage.ForEach — concurrently on flash, where
+// independent keys exercise the emulator's channels in parallel instead of
+// convoying behind one another's page reads, and inline on DRAM. The read
+// phase's wall time is charged to the ledger once; parks stay unattributed,
+// as in handleGet.
 func (s *Server) handleMultiGet(ctx context.Context, r wire.MultiGetRequest) (wire.MultiGetResponse, error) {
 	s.stats.gets.Add(int64(len(r.Keys)))
-	resp := wire.MultiGetResponse{Items: make([]wire.GetResponse, len(r.Keys))}
-	if len(r.Keys) <= 1 {
-		for i, key := range r.Keys {
-			item, err := s.handleGet(ctx, wire.GetRequest{Key: key, At: r.At, AnyReplica: r.AnyReplica})
-			if err != nil {
-				return wire.MultiGetResponse{}, err
-			}
-			resp.Items[i] = item
+	prepared := make([]bool, len(r.Keys))
+	if err := s.admitReads(ctx, r.Keys, r.At, r.AnyReplica, prepared); err != nil {
+		return wire.MultiGetResponse{}, err
+	}
+	items := make([]wire.GetResponse, len(r.Keys))
+	readStart := time.Now()
+	err := storage.ForEach(s.opt.Backend, len(r.Keys), func(i int) (err error) {
+		items[i], err = s.readVersion(r.Keys[i], r.At, prepared[i])
+		return err
+	})
+	obs.AttributeStage(ctx, obs.StageFlashRead, time.Since(readStart))
+	if err != nil {
+		return wire.MultiGetResponse{}, err
+	}
+	return wire.MultiGetResponse{Items: items}, nil
+}
+
+// admitReads admits one request's reads of keys at `at`. Reads execute only
+// on a lease-holding primary (§3.3, §4.5), which records them with the
+// manager and sets prepared — unless the client opted into nearest-replica
+// reads (§4.6), in which case any replica answers from its backend, possibly
+// slightly stale, with no prepared bits, and the transaction must validate at
+// the primary. The lease is checked once per request.
+func (s *Server) admitReads(ctx context.Context, keys [][]byte, at clock.Timestamp, anyReplica bool, prepared []bool) error {
+	if err := s.checkPrimaryLease(); err != nil {
+		if anyReplica {
+			return nil
 		}
-		return resp, nil
+		return err
 	}
-	errs := make([]error, len(r.Keys))
-	reads := make([]time.Duration, len(r.Keys))
-	var wg sync.WaitGroup
-	for i, key := range r.Keys {
-		wg.Add(1)
-		go func(i int, key []byte) {
-			defer wg.Done()
-			resp.Items[i], reads[i], errs[i] = s.get(ctx, wire.GetRequest{Key: key, At: r.At, AnyReplica: r.AnyReplica})
-		}(i, key)
+	s.mgr.OnGet(ctx, keys, at, prepared)
+	return nil
+}
+
+// readVersion reads key at `at` from the backend into a response carrying
+// the prepared bit admitReads found.
+func (s *Server) readVersion(key []byte, at clock.Timestamp, prepared bool) (wire.GetResponse, error) {
+	val, ver, found, err := s.opt.Backend.Get(key, at)
+	if errors.Is(err, storage.ErrSnapshotUnavailable) {
+		return wire.GetResponse{SnapshotMiss: true}, nil
 	}
-	wg.Wait()
-	// The per-key reads overlap, so charging each one to the ledger would
-	// attribute more than the wall time spent; charge the longest — the
-	// fan-out's critical path — and leave parks unattributed, as handleGet
-	// does.
-	obs.AttributeStage(ctx, obs.StageFlashRead, slices.Max(reads))
-	for _, err := range errs {
-		if err != nil {
-			return wire.MultiGetResponse{}, err
-		}
+	if err != nil {
+		return wire.GetResponse{}, err
 	}
-	return resp, nil
+	return wire.GetResponse{Val: val, Version: ver, Found: found, PreparedAtOrBefore: prepared}, nil
 }
 
 // handlePut is the linearizable single-key write of §3.3: writes with
@@ -710,15 +707,16 @@ func (s *Server) handleReplicateDecision(ctx context.Context, r wire.ReplicateDe
 
 // handleReplicateData applies replicated writes on a backup — in any order,
 // because ordering is explicit in the version stamps (§3.2). Batches apply
-// concurrently across keys (the backends stripe their metadata locks, so
-// distinct keys really do proceed in parallel and exercise independent flash
-// channels) and answer with a per-op BatchAck so the primary's batcher can
-// demultiplex quorums: one rejected op must not fail its batchmates. A
-// one-op batch applies inline, with no goroutine.
+// through storage.ForEach: concurrently across keys on flash (the backends
+// stripe their metadata locks, so distinct keys really do proceed in
+// parallel and exercise independent flash channels), inline on DRAM. The
+// answer is a per-op BatchAck so the primary's batcher can demultiplex
+// quorums: one rejected op must not fail its batchmates.
 func (s *Server) handleReplicateData(_ context.Context, r wire.ReplicateData) (any, error) {
 	s.stats.replOps.Add(int64(len(r.Ops)))
 	errs := make([]string, len(r.Ops))
-	apply := func(i int) {
+	// Each op's outcome lands in errs, so ForEach itself has none to return.
+	_ = storage.ForEach(s.opt.Backend, len(r.Ops), func(i int) error {
 		op := r.Ops[i]
 		var startTicks int64
 		record := op.TC.Sampled && s.spans != nil
@@ -738,20 +736,8 @@ func (s *Server) handleReplicateData(_ context.Context, r wire.ReplicateData) (a
 				Outcome: errs[i],
 			})
 		}
-	}
-	if len(r.Ops) == 1 {
-		apply(0)
-	} else {
-		var wg sync.WaitGroup
-		for i := range r.Ops {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				apply(i)
-			}(i)
-		}
-		wg.Wait()
-	}
+		return nil
+	})
 	applied, ack := r, wire.BatchAck{}
 	if slices.ContainsFunc(errs, func(e string) bool { return e != "" }) {
 		// Log only the ops this replica actually holds; replaying a write

@@ -8,6 +8,7 @@ package storage
 
 import (
 	"errors"
+	"sync"
 
 	"repro/internal/clock"
 )
@@ -43,4 +44,44 @@ type Backend interface {
 	// replica states during failover (§4.5); versions at or below the
 	// watermark are identical everywhere and may be skipped via since.
 	Dump(since clock.Timestamp, fn func(key []byte, ver clock.Timestamp, val []byte, tombstone bool) error) error
+	// Blocking reports whether a call may wait on a device (a flash page
+	// read or program). Per-key work overlaps only on a blocking backend;
+	// on one that never waits, a goroutine per key costs more than it
+	// overlaps (see ForEach).
+	Blocking() bool
+}
+
+// ForEach runs fn(0), …, fn(n-1) — the per-key work of one request against
+// b — and returns the lowest-index error. On a non-blocking backend, and for
+// a single call, it runs them inline, in index order, on the caller's
+// goroutine. On a blocking backend it runs one goroutine per index, so
+// independent keys keep the device's channels busy in parallel instead of
+// convoying behind one another's page reads and programs. Every call runs
+// whatever the others return.
+func ForEach(b Backend, n int, fn func(i int) error) error {
+	if n <= 1 || !b.Blocking() {
+		var first error
+		for i := 0; i < n; i++ {
+			if err := fn(i); err != nil && first == nil {
+				first = err
+			}
+		}
+		return first
+	}
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	wg.Add(n)
+	for i := range n {
+		go func() {
+			defer wg.Done()
+			errs[i] = fn(i)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -2,7 +2,6 @@ package storage
 
 import (
 	"sync"
-	"time"
 
 	"repro/internal/clock"
 )
@@ -13,9 +12,6 @@ import (
 // and 8, where its very low write latency makes transaction ordering most
 // sensitive to clock skew.
 type DRAM struct {
-	// WriteLatency optionally models a persistent-memory write delay.
-	WriteLatency time.Duration
-
 	mu        sync.RWMutex
 	m         map[string][]memVersion // youngest first
 	watermark clock.Timestamp
@@ -43,9 +39,6 @@ func (d *DRAM) Delete(key []byte, ver clock.Timestamp) error {
 }
 
 func (d *DRAM) insert(key, val []byte, ver clock.Timestamp, tombstone bool) error {
-	if d.WriteLatency > 0 {
-		time.Sleep(d.WriteLatency)
-	}
 	cp := make([]byte, len(val))
 	copy(cp, val)
 	d.mu.Lock()
@@ -139,6 +132,9 @@ func (d *DRAM) SetWatermark(ts clock.Timestamp) {
 
 // Flush is a no-op: DRAM writes are durable immediately.
 func (d *DRAM) Flush() {}
+
+// Blocking is false: a DRAM call never waits on a device.
+func (d *DRAM) Blocking() bool { return false }
 
 // VersionCount reports the retained version count for a key (tests).
 func (d *DRAM) VersionCount(key []byte) int {

@@ -248,6 +248,9 @@ func (s *SingleVersion) SetWatermark(clock.Timestamp) {}
 // Flush is a no-op: writes are synchronous.
 func (s *SingleVersion) Flush() {}
 
+// Blocking is true: reads and writes wait on flash pages.
+func (s *SingleVersion) Blocking() bool { return true }
+
 // SetMetrics forwards the metrics registry to the underlying FTL and device
 // and enables the store's own contention metrics: storage_stripe_wait_total
 // counts reads/writes that had to wait behind an in-flight program of the
