@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race check cover nogob onecarrier oneroute onepark audit stress overload crash overhead benchall
+.PHONY: all build vet test race check cover nogob onecarrier oneroute onepark onechaos audit stress overload crash overhead benchall
 
 all: check
 
@@ -69,6 +69,15 @@ onepark:
 	if [ -n "$$bad" ]; then echo "onepark: DecisionWait outside internal/milana in:"; echo "$$bad"; exit 1; fi; \
 	echo "onepark: ok"
 
+# onechaos keeps one chaos driver in internal/core: faults.NewChaos may
+# appear in chaos_test.go, whose runBankChaos every seeded bank-transfer gate
+# runs, and in no other test file of the package — so a copied chaos round
+# cannot grow back unnoticed.
+onechaos:
+	@bad=$$(grep -rlF --include='*_test.go' 'faults.NewChaos(' internal/core | grep -vx 'internal/core/chaos_test.go'); \
+	if [ -n "$$bad" ]; then echo "onechaos: faults.NewChaos outside internal/core/chaos_test.go in:"; echo "$$bad"; exit 1; fi; \
+	echo "onechaos: ok"
+
 # audit runs the online-audit gate under the race detector: chaos runs with
 # the streaming auditor attached must stay silent (zero convictions, zero
 # ε violations), a mutated cluster must be convicted online, the streaming
@@ -84,7 +93,8 @@ audit:
 # audit suite), hold the coverage floor, survive the crash/durability gate,
 # keep encoding/gob out of everything that ships, keep the request record
 # the only context value, keep request classes out of internal/resilience,
-# and keep the wait on a prepared mark inside internal/milana.
+# keep the wait on a prepared mark inside internal/milana, and keep one
+# chaos driver in internal/core's tests.
 check:
 	$(GO) build ./...
 	$(GO) vet ./...
@@ -92,6 +102,7 @@ check:
 	$(MAKE) onecarrier
 	$(MAKE) oneroute
 	$(MAKE) onepark
+	$(MAKE) onechaos
 	$(GO) test -race ./...
 	$(MAKE) cover
 	$(MAKE) crash

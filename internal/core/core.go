@@ -292,7 +292,7 @@ func (c *Cluster) startServer(addr string, slot *replicaSlot, primary bool) erro
 	}
 	var w *wal.WAL
 	var reg *obs.Registry
-	admissionOn := c.opt.Resilience != nil && !c.opt.Resilience.NoAdmission
+	admissionOn := c.opt.Resilience != nil
 	if slot.walDir != "" || admissionOn {
 		reg = obs.NewRegistry()
 	}
@@ -548,7 +548,7 @@ func (c *Cluster) NewSemelClient(id uint32) *semel.Client {
 func (c *Cluster) NewTxnClient(id uint32) *milana.Client {
 	net := c.clientNet(id)
 	ro := c.opt.Resilience
-	if ro != nil && !ro.NoBreaker {
+	if ro != nil {
 		bo := ro.Breaker
 		if bo.Metrics == nil {
 			bo.Metrics = c.Obs

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"os"
 	"strconv"
 	"sync"
@@ -12,9 +11,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/check"
 	"repro/internal/clock"
-	"repro/internal/faults"
 	"repro/internal/milana"
 	"repro/internal/transport"
 	"repro/internal/wire"
@@ -31,254 +28,91 @@ import (
 // writes. Environment knobs as in TestStressChaosSweep (CHAOS_SEED /
 // CHAOS_ROUNDS); a failing seed prints its replay command.
 func TestStressKillChaos(t *testing.T) {
-	if testing.Short() {
-		t.Skip("kill-chaos sweep skipped in -short mode")
-	}
-	base, rounds := chaosEnv(t, 1, 1)
-	profiles := []clock.Profile{clock.NTP, clock.PTPHardware, clock.DTP}
-	for i := 0; i < rounds; i++ {
-		seed := base + int64(i)
-		for _, p := range profiles {
-			p := p
-			t.Run(fmt.Sprintf("seed=%d/%s", seed, p.Name), func(t *testing.T) {
-				killChaosRound(t, seed, p)
-			})
+	chaosSweep(t, 1, func(t *testing.T, seed int64, p clock.Profile) {
+		// Each writing transfer also bumps its worker's ctr:w to the attempt
+		// number, so a committed (acknowledged) transfer leaves a monotone
+		// receipt: after the run, ctr:w must read at least the last
+		// acknowledged attempt, or an acked write was lost across an amnesia
+		// restart. (The check runs only after the quiesced settle — mid-run
+		// reads may legitimately see older snapshots under chaos clock steps.)
+		r := runBankChaos(t, bankChaos{
+			seed: seed, profile: p,
+			faults: true, window: 400 * time.Millisecond,
+			kill: true, wal: true, receipts: true,
+			chaos: func(r *bankRun) {
+				r.runChaos()
+				killRotation(r)
+			},
+			settle: 15 * time.Second,
+		})
+		checkReceipts(r)
+		// Every replica was amnesia-killed at least once (rotation
+		// guarantees it); its restart must have been a real WAL replay.
+		var replayed int64
+		for addr, n := range r.kills {
+			if n == 0 {
+				r.fail("replica %s was never amnesia-killed", addr)
+			}
+			resp, err := r.c.Bus.Call(context.Background(), addr, wire.WALStatusRequest{})
+			if err != nil {
+				r.fail("WAL status %s: %v", addr, err)
+			}
+			st := resp.(wire.WALStatusResponse)
+			if !st.Enabled {
+				r.fail("replica %s reports WAL disabled", addr)
+			}
+			replayed += st.ReplayRecords
+		}
+		if replayed == 0 {
+			r.fail("no replica replayed a single WAL record; recovery never exercised")
+		}
+		t.Logf("kills=%v replayed=%d", r.kills, replayed)
+		r.checkHistory()
+	})
+}
+
+// killRotation kills and recovers, one at a time (quorums stay live) and
+// with the workload still running, every replica the random chaos schedule
+// spared.
+func killRotation(r *bankRun) {
+	for s := 0; s < bankShards; s++ {
+		for rep := 0; rep < bankReplicas; rep++ {
+			addr := Addr(s, rep)
+			r.killMu.Lock()
+			seen := r.kills[addr]
+			r.killMu.Unlock()
+			if seen > 0 {
+				continue
+			}
+			if err := r.c.KillServer(addr); err != nil {
+				r.fail("rotation kill %s: %v", addr, err)
+			}
+			r.killMu.Lock()
+			r.kills[addr]++
+			r.killMu.Unlock()
+			time.Sleep(20 * time.Millisecond)
+			if err := r.c.RestartServer(addr); err != nil {
+				r.fail("rotation restart %s: %v", addr, err)
+			}
 		}
 	}
 }
 
-func killChaosRound(t *testing.T, seed int64, profile clock.Profile) {
-	const (
-		accounts = 8
-		initial  = 100
-		workers  = 3
-		shards   = 2
-		replicas = 3
-	)
-	in := faults.New(faults.Options{
-		Seed:         seed,
-		PDropRequest: 0.02,
-		PDropReply:   0.02,
-		PDuplicate:   0.03,
-		PDelay:       0.05,
-		MaxDelay:     2 * time.Millisecond,
-	})
-	c := newTestCluster(t, ClusterOptions{
-		Shards: shards, Replicas: replicas,
-		ClockProfile:    profile,
-		SkewServers:     true,
-		LeaseDuration:   40 * time.Millisecond,
-		PreparedTimeout: 150 * time.Millisecond,
-		Seed:            seed,
-		NetWrapper:      in.Wrap,
-		WALRoot:         t.TempDir(),
-		CheckpointEvery: 64, // small, so kills land between checkpoints too
-	})
+// checkReceipts demands zero lost acknowledged writes: each worker's
+// counter must read at least its last acknowledged attempt, across every
+// amnesia restart. Like conservation, this settles: a worker's last commits
+// were acknowledged on collected votes with the decision delivered
+// asynchronously, so the final counter write may sit in-doubt until a CTP
+// sweep terminates it — not lost, just not yet applied. A write still below
+// its acked attempt at the deadline IS lost.
+func checkReceipts(r *bankRun) {
 	ctx := context.Background()
-	acct := func(i int) []byte { return []byte(fmt.Sprintf("acct:%d", i)) }
-	ctrKey := func(w int) []byte { return []byte(fmt.Sprintf("ctr:%d", w)) }
-	hist := check.NewHistory()
-
-	// Fund the accounts before faults are armed.
-	in.SetEnabled(false)
-	setup := c.NewTxnClient(100)
-	setup.SetHistory(hist)
-	setup.SyncDecisions = true
-	if err := setup.RunTransaction(ctx, func(tx *milana.Txn) error {
-		for i := 0; i < accounts; i++ {
-			if err := tx.Put(acct(i), []byte(strconv.Itoa(initial))); err != nil {
-				return err
-			}
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	in.SetEnabled(true)
-
-	// Each worker transfers between random accounts and, in the same
-	// transaction, bumps a private counter key to its attempt number. A
-	// committed (acknowledged) transfer therefore leaves a monotone receipt:
-	// after the run, ctr:w must read at least the last acknowledged attempt,
-	// or an acked write was lost across an amnesia restart. (The check runs
-	// only on the final quiesced audit — mid-run reads may legitimately see
-	// older snapshots under chaos clock steps.)
-	var (
-		stop      atomic.Bool
-		wg        sync.WaitGroup
-		transfers atomic.Int64
-		unknowns  atomic.Int64
-	)
-	acked := make([]int64, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			txc := c.NewTxnClient(uint32(w + 1))
-			txc.SetHistory(hist)
-			r := rand.New(rand.NewSource(seed*100 + int64(w)))
-			for attempt := int64(1); !stop.Load(); attempt++ {
-				from, to := r.Intn(accounts), r.Intn(accounts)
-				if from == to {
-					continue
-				}
-				wrote := false
-				tctx, cancel := context.WithTimeout(ctx, time.Second)
-				err := txc.RunTransaction(tctx, func(tx *milana.Txn) error {
-					wrote = false
-					fb, _, err := tx.Get(tctx, acct(from))
-					if err != nil {
-						return err
-					}
-					tb, _, err := tx.Get(tctx, acct(to))
-					if err != nil {
-						return err
-					}
-					f, _ := strconv.Atoi(string(fb))
-					g, _ := strconv.Atoi(string(tb))
-					if f < 5 {
-						return nil // read-only commit: no counter receipt
-					}
-					if err := tx.Put(acct(from), []byte(strconv.Itoa(f-5))); err != nil {
-						return err
-					}
-					if err := tx.Put(acct(to), []byte(strconv.Itoa(g+5))); err != nil {
-						return err
-					}
-					wrote = true
-					return tx.Put(ctrKey(w), []byte(strconv.FormatInt(attempt, 10)))
-				})
-				cancel()
-				switch {
-				case err == nil:
-					transfers.Add(1)
-					if wrote {
-						atomic.StoreInt64(&acked[w], attempt)
-					}
-				case errors.Is(err, milana.ErrUnknown):
-					unknowns.Add(1)
-				}
-			}
-		}(w)
-	}
-
-	groups := make([][]string, shards)
-	for s := 0; s < shards; s++ {
-		for r := 0; r < replicas; r++ {
-			groups[s] = append(groups[s], Addr(s, r))
-		}
-	}
-	maxStep := 2 * profile.Epsilon()
-	if maxStep < 200*time.Microsecond {
-		maxStep = 200 * time.Microsecond
-	}
-	var killMu sync.Mutex
-	kills := make(map[string]int)
-	ch := faults.NewChaos(in, faults.ChaosOptions{
-		Seed:         seed,
-		Groups:       groups,
-		Clocks:       c.Clocks(),
-		MaxClockStep: maxStep,
-		Tick:         5 * time.Millisecond,
-		Kill: func(n string) error {
-			if err := c.KillServer(n); err != nil {
-				return err
-			}
-			killMu.Lock()
-			kills[n]++
-			killMu.Unlock()
-			return nil
-		},
-		Revive: c.RestartServer,
-	})
-	ch.Start()
-	time.Sleep(400 * time.Millisecond)
-	ch.Stop() // revives every killed replica through RestartServer
-
-	fail := func(format string, args ...any) {
-		t.Logf("replay: CHAOS_SEED=%d CHAOS_ROUNDS=1 go test -race -run 'TestStressKillChaos/seed=%d/%s' ./internal/core/", seed, seed, profile.Name)
-		t.Logf("injector: %+v", in.Stats())
-		t.Logf("chaos schedule: %v", ch.Log())
-		t.Fatalf(format, args...)
-	}
-
-	// Deterministic rotation: any replica the random schedule spared is
-	// killed and recovered now, one at a time (quorums stay live), with the
-	// workload still running against it.
-	for s := 0; s < shards; s++ {
-		for r := 0; r < replicas; r++ {
-			addr := Addr(s, r)
-			killMu.Lock()
-			seen := kills[addr]
-			killMu.Unlock()
-			if seen > 0 {
-				continue
-			}
-			if err := c.KillServer(addr); err != nil {
-				fail("rotation kill %s: %v", addr, err)
-			}
-			killMu.Lock()
-			kills[addr]++
-			killMu.Unlock()
-			time.Sleep(20 * time.Millisecond)
-			if err := c.RestartServer(addr); err != nil {
-				fail("rotation restart %s: %v", addr, err)
-			}
-		}
-	}
-
-	in.Quiesce()
-	stop.Store(true)
-	wg.Wait()
-
-	// Settle: audit until conservation holds.
-	auditor := c.NewTxnClient(50)
-	auditor.SetHistory(hist)
 	deadline := time.Now().Add(15 * time.Second)
-	var total int
-	var lastErr error
-	for {
-		total = 0
-		actx, cancel := context.WithTimeout(ctx, 2*time.Second)
-		lastErr = auditor.RunTransaction(actx, func(tx *milana.Txn) error {
-			total = 0
-			for i := 0; i < accounts; i++ {
-				raw, found, err := tx.Get(actx, acct(i))
-				if err != nil {
-					return err
-				}
-				if !found {
-					return fmt.Errorf("account %d missing after kill-chaos", i)
-				}
-				n, _ := strconv.Atoi(string(raw))
-				total += n
-			}
-			return nil
-		})
-		cancel()
-		if lastErr == nil && total == accounts*initial {
-			break
-		}
-		if time.Now().After(deadline) {
-			fail("money not conserved after kill-chaos: total=%d want=%d err=%v (%d transfers, %d unknown, kills=%v)",
-				total, accounts*initial, lastErr, transfers.Load(), unknowns.Load(), kills)
-		}
-		time.Sleep(25 * time.Millisecond)
-	}
-
-	// Zero lost acknowledged writes: each worker's counter must read at
-	// least its last acknowledged attempt, across every amnesia restart.
-	// Like conservation above, this settles: a worker's last commits were
-	// acknowledged on collected votes with the decision delivered
-	// asynchronously, so the final counter write may sit in-doubt until a
-	// CTP sweep terminates it — not lost, just not yet applied. A write
-	// still below its acked attempt at the deadline IS lost.
-	deadline = time.Now().Add(15 * time.Second)
 	for {
 		actx, cancel := context.WithTimeout(ctx, 2*time.Second)
-		err := auditor.RunTransaction(actx, func(tx *milana.Txn) error {
-			for w := 0; w < workers; w++ {
-				want := atomic.LoadInt64(&acked[w])
+		err := r.auditor.RunTransaction(actx, func(tx *milana.Txn) error {
+			for w := range r.acked {
+				want := r.acked[w].Load()
 				if want == 0 {
 					continue
 				}
@@ -298,45 +132,12 @@ func killChaosRound(t *testing.T, seed int64, profile clock.Profile) {
 		})
 		cancel()
 		if err == nil {
-			break
+			return
 		}
 		if time.Now().After(deadline) {
-			fail("durability audit failed: %v", err)
+			r.fail("durability audit failed: %v", err)
 		}
 		time.Sleep(25 * time.Millisecond)
-	}
-
-	rep := check.Serializability(hist.Txns())
-	if !rep.Serializable {
-		fail("history not serializable: %v", rep)
-	}
-
-	// Every replica was amnesia-killed at least once (rotation guarantees
-	// it); its restart must have been a real WAL replay.
-	var replayed int64
-	for addr, n := range kills {
-		if n == 0 {
-			fail("replica %s was never amnesia-killed", addr)
-		}
-		resp, err := c.Bus.Call(ctx, addr, wire.WALStatusRequest{})
-		if err != nil {
-			fail("WAL status %s: %v", addr, err)
-		}
-		st := resp.(wire.WALStatusResponse)
-		if !st.Enabled {
-			fail("replica %s reports WAL disabled", addr)
-		}
-		replayed += st.ReplayRecords
-	}
-	if replayed == 0 {
-		fail("no replica replayed a single WAL record; recovery never exercised")
-	}
-
-	com, abt, unk := hist.Outcomes()
-	t.Logf("%s seed=%d: %v; outcomes committed=%d aborted=%d unknown=%d; kills=%v replayed=%d; faults=%+v",
-		profile.Name, seed, rep, com, abt, unk, kills, replayed, in.Stats())
-	if transfers.Load() == 0 {
-		fail("no transfer ever committed; chaos too aggressive to be meaningful")
 	}
 }
 
@@ -373,14 +174,7 @@ func coldRestartHarness(t *testing.T, skipFsync bool) (got, want int) {
 	txc := c.NewTxnClient(1)
 	txc.SyncDecisions = true
 	for i := 0; i < increments; i++ {
-		if err := txc.RunTransaction(ctx, func(tx *milana.Txn) error {
-			raw, _, err := tx.Get(ctx, key)
-			if err != nil {
-				return err
-			}
-			n, _ := strconv.Atoi(string(raw))
-			return tx.Put(key, []byte(strconv.Itoa(n+1)))
-		}); err != nil {
+		if err := txc.RunTransaction(ctx, increment(ctx, key)); err != nil {
 			t.Fatalf("increment %d not acknowledged: %v", i, err)
 		}
 	}
@@ -557,14 +351,7 @@ func TestDurabilityPromotedBackupLearnsDecision(t *testing.T) {
 	txc.SyncDecisions = true
 	rctx, cancel := context.WithTimeout(ctx, time.Second)
 	defer cancel()
-	if err := txc.RunTransaction(rctx, func(tx *milana.Txn) error {
-		raw, _, err := tx.Get(rctx, key)
-		if err != nil {
-			return err
-		}
-		n, _ := strconv.Atoi(string(raw))
-		return tx.Put(key, []byte(strconv.Itoa(n+1)))
-	}); err != nil {
+	if err := txc.RunTransaction(rctx, increment(rctx, key)); err != nil {
 		t.Fatalf("read-modify-write on the promoted primary did not commit within 1 s: %v", err)
 	}
 	if val, _, _, _ := c.Backend(backup).Latest(key); string(val) != "2" {

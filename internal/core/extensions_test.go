@@ -261,12 +261,21 @@ func TestGetManyBatchedReads(t *testing.T) {
 // TestClusterCloseStopsGoroutines guards against background-loop leaks:
 // lease renewal, sweepers and bus goroutines must all exit on Close.
 func TestClusterCloseStopsGoroutines(t *testing.T) {
-	before := runtime.NumGoroutine()
-	c, err := NewCluster(ClusterOptions{
+	closeStopsGoroutines(t, ClusterOptions{
 		Shards: 2, Replicas: 3,
 		LeaseDuration:   50 * time.Millisecond,
 		PreparedTimeout: 100 * time.Millisecond,
-	})
+	}, nil)
+}
+
+// closeStopsGoroutines builds a cluster from opt, commits five puts through
+// client 1, hands both to beforeClose when it is set, closes the cluster,
+// and fails unless the goroutine count falls back to where it started
+// (plus test-runner slack) within 3 s.
+func closeStopsGoroutines(t *testing.T, opt ClusterOptions, beforeClose func(*Cluster, *milana.Client)) {
+	t.Helper()
+	before := runtime.NumGoroutine()
+	c, err := NewCluster(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,6 +288,9 @@ func TestClusterCloseStopsGoroutines(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if beforeClose != nil {
+		beforeClose(c, txc)
 	}
 	c.Close()
 	deadline := time.Now().Add(3 * time.Second)

@@ -328,18 +328,7 @@ func TestTxnConcurrentIncrementsSerializable(t *testing.T) {
 			defer wg.Done()
 			txc := c.NewTxnClient(uint32(i + 1))
 			for j := 0; j < perClient; j++ {
-				err := txc.RunTransaction(ctx, func(t *milana.Txn) error {
-					raw, found, err := t.Get(ctx, []byte("counter"))
-					if err != nil {
-						return err
-					}
-					n := 0
-					if found {
-						n, _ = strconv.Atoi(string(raw))
-					}
-					return t.Put([]byte("counter"), []byte(strconv.Itoa(n+1)))
-				})
-				if err != nil {
+				if err := txc.RunTransaction(ctx, increment(ctx, []byte("counter"))); err != nil {
 					t.Errorf("client %d: %v", i, err)
 					return
 				}

@@ -4,16 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"os"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"repro/internal/audit"
-	"repro/internal/check"
 	"repro/internal/clock"
 	"repro/internal/faults"
 	"repro/internal/milana"
@@ -35,245 +31,46 @@ import (
 //	    an aborted transaction must never manufacture an anomaly;
 //	(c) money conserved after the dust settles.
 func TestResilienceChaosAudit(t *testing.T) {
-	if testing.Short() {
-		t.Skip("resilience chaos skipped in -short mode")
-	}
-	base, rounds := chaosEnv(t, 1, 1)
-	profiles := []clock.Profile{clock.NTP, clock.PTPHardware, clock.DTP}
-	for i := 0; i < rounds; i++ {
-		seed := base + int64(i)
-		for _, p := range profiles {
-			p := p
-			t.Run(fmt.Sprintf("seed=%d/%s", seed, p.Name), func(t *testing.T) {
-				resilienceChaosRound(t, seed, p)
-			})
-		}
-	}
-}
-
-func resilienceChaosRound(t *testing.T, seed int64, profile clock.Profile) {
-	const (
-		accounts = 8
-		initial  = 100
-		workers  = 3
-		shards   = 2
-		replicas = 3
-
-		budgetRatio = 0.1
-		budgetBurst = 10
-	)
-	maxStep := 2 * profile.Epsilon()
-	if maxStep < 200*time.Microsecond {
-		maxStep = 200 * time.Microsecond
-	}
-	in := faults.New(faults.Options{
-		Seed:         seed,
-		PDropRequest: 0.02,
-		PDropReply:   0.02,
-		PDuplicate:   0.03,
-		PDelay:       0.05,
-		MaxDelay:     2 * time.Millisecond,
-	})
-	c := newTestCluster(t, ClusterOptions{
-		Shards: shards, Replicas: replicas,
-		ClockProfile:    profile,
-		SkewServers:     true,
-		LeaseDuration:   40 * time.Millisecond,
-		PreparedTimeout: 150 * time.Millisecond,
-		Seed:            seed,
-		NetWrapper:      in.Wrap,
-		WALRoot:         t.TempDir(),
-		CheckpointEvery: 64,
-		Audit: &audit.Options{
-			SampleRate:    1,
-			FlushInterval: 10 * time.Millisecond,
-			Epsilon:       2*profile.Epsilon() + maxStep + 200*time.Microsecond,
-		},
-		Resilience: &resilience.Options{
-			Retry:   resilience.RetryOptions{BudgetRatio: budgetRatio, BudgetBurst: budgetBurst},
-			Breaker: resilience.BreakerOptions{FailureThreshold: 4, Cooldown: 100 * time.Millisecond},
-			Admission: resilience.AdmissionOptions{
-				MaxInflight:   128,
-				MaxQueueDelay: 50 * time.Millisecond,
+	chaosSweep(t, 1, func(t *testing.T, seed int64, p clock.Profile) {
+		const (
+			budgetRatio = 0.1
+			budgetBurst = 10
+		)
+		r := runBankChaos(t, bankChaos{
+			seed: seed, profile: p,
+			faults: true, window: 400 * time.Millisecond,
+			kill: true, maxSlow: 3 * time.Millisecond,
+			wal: true, audit: true,
+			resilience: &resilience.Options{
+				Retry:   resilience.RetryOptions{BudgetRatio: budgetRatio, BudgetBurst: budgetBurst},
+				Breaker: resilience.BreakerOptions{FailureThreshold: 4, Cooldown: 100 * time.Millisecond},
+				Admission: resilience.AdmissionOptions{
+					MaxInflight:   128,
+					MaxQueueDelay: 50 * time.Millisecond,
+				},
 			},
-		},
-	})
-	ctx := context.Background()
-	acct := func(i int) []byte { return []byte(fmt.Sprintf("acct:%d", i)) }
-	hist := check.NewHistory()
-
-	// fresh counts RunTransaction invocations (one budget deposit each);
-	// clients counts budgets (one burst allowance each). Together they bound
-	// every retry the metrics may report.
-	var fresh, clients atomic.Int64
-	newClient := func(id uint32) *milana.Client {
-		clients.Add(1)
-		cl := c.NewTxnClient(id)
-		cl.SetHistory(hist)
-		return cl
-	}
-
-	in.SetEnabled(false)
-	setup := newClient(100)
-	setup.SyncDecisions = true
-	fresh.Add(1)
-	if err := setup.RunTransaction(ctx, func(tx *milana.Txn) error {
-		for i := 0; i < accounts; i++ {
-			if err := tx.Put(acct(i), []byte(strconv.Itoa(initial))); err != nil {
-				return err
-			}
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	setup.BroadcastWatermark(ctx)
-	in.SetEnabled(true)
-
-	var (
-		stop      atomic.Bool
-		wg        sync.WaitGroup
-		transfers atomic.Int64
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			txc := newClient(uint32(w + 1))
-			r := rand.New(rand.NewSource(seed*100 + int64(w)))
-			for n := 0; !stop.Load(); n++ {
-				from, to := r.Intn(accounts), r.Intn(accounts)
-				if from == to {
-					continue
-				}
-				tctx, cancel := context.WithTimeout(ctx, time.Second)
-				fresh.Add(1)
-				err := txc.RunTransaction(tctx, func(tx *milana.Txn) error {
-					fb, _, err := tx.Get(tctx, acct(from))
-					if err != nil {
-						return err
-					}
-					tb, _, err := tx.Get(tctx, acct(to))
-					if err != nil {
-						return err
-					}
-					f, _ := strconv.Atoi(string(fb))
-					g, _ := strconv.Atoi(string(tb))
-					if f < 5 {
-						return nil
-					}
-					if err := tx.Put(acct(from), []byte(strconv.Itoa(f-5))); err != nil {
-						return err
-					}
-					return tx.Put(acct(to), []byte(strconv.Itoa(g+5)))
-				})
-				cancel()
-				if err == nil {
-					transfers.Add(1)
-				}
-				if n%10 == 9 {
-					txc.BroadcastWatermark(ctx)
-				}
-			}
-			txc.BroadcastWatermark(ctx)
-		}(w)
-	}
-
-	groups := make([][]string, shards)
-	for s := 0; s < shards; s++ {
-		for r := 0; r < replicas; r++ {
-			groups[s] = append(groups[s], Addr(s, r))
-		}
-	}
-	ch := faults.NewChaos(in, faults.ChaosOptions{
-		Seed:         seed,
-		Groups:       groups,
-		Clocks:       c.Clocks(),
-		MaxClockStep: maxStep,
-		Tick:         5 * time.Millisecond,
-		Kill:         c.KillServer,
-		Revive:       c.RestartServer,
-		MaxSlow:      3 * time.Millisecond,
-	})
-	ch.Start()
-	time.Sleep(400 * time.Millisecond)
-	ch.Stop()
-	in.Quiesce()
-	stop.Store(true)
-	wg.Wait()
-
-	fail := func(format string, args ...any) {
-		t.Logf("replay: CHAOS_SEED=%d CHAOS_ROUNDS=1 go test -race -run 'TestResilienceChaosAudit/seed=%d/%s' ./internal/core/", seed, seed, profile.Name)
-		t.Logf("injector: %+v", in.Stats())
-		t.Logf("chaos schedule: %v", ch.Log())
-		t.Fatalf(format, args...)
-	}
-
-	// (c) settle until conservation holds.
-	auditor := newClient(50)
-	deadline := time.Now().Add(15 * time.Second)
-	for {
-		total := 0
-		actx, cancel := context.WithTimeout(ctx, 2*time.Second)
-		fresh.Add(1)
-		err := auditor.RunTransaction(actx, func(tx *milana.Txn) error {
-			total = 0
-			for i := 0; i < accounts; i++ {
-				raw, found, err := tx.Get(actx, acct(i))
-				if err != nil {
-					return err
-				}
-				if !found {
-					return fmt.Errorf("account %d missing after chaos", i)
-				}
-				n, _ := strconv.Atoi(string(raw))
-				total += n
-			}
-			return nil
+			watermarks: true,
+			settle:     15 * time.Second, // (c)
 		})
-		cancel()
-		if err == nil && total == accounts*initial {
-			break
-		}
-		if time.Now().After(deadline) {
-			fail("money not conserved: total=%d want=%d err=%v", total, accounts*initial, err)
-		}
-		time.Sleep(25 * time.Millisecond)
-	}
-	auditor.BroadcastWatermark(ctx)
 
-	// (b) the streaming auditor stayed silent and the history is
-	// serializable despite retries.
-	rep := c.Auditor().Drain()
-	st := c.Auditor().Stats()
-	if !rep.Serializable {
-		fail("resilience chaos convicted: %s (cycle %v)", rep.Anomaly, rep.Cycle)
-	}
-	if st.Convictions != 0 {
-		fail("%d online convictions\nartifacts: %+v", st.Convictions, c.Auditor().Artifacts())
-	}
-	if st.EpsilonViolations != 0 {
-		fail("%d ε violations (profile %s)", st.EpsilonViolations, profile.Name)
-	}
-	if offline := check.Serializability(hist.Txns()); !offline.Serializable {
-		fail("offline history check convicted: %v", offline)
-	}
+		// (b) the streaming auditor stayed silent and the history is
+		// serializable despite retries.
+		r.auditorSilent()
+		r.checkHistory()
 
-	// (a) no retry storm: the token bucket bounds retries by construction;
-	// this asserts the wiring didn't leak a path around it.
-	snap := c.Obs.Snapshot()
-	retries := snap.Counters["resilience_retries_total"]
-	bound := int64(budgetRatio*float64(fresh.Load())) + budgetBurst*clients.Load()
-	if retries > bound {
-		fail("retry storm: %d retries > budget bound %d (fresh=%d clients=%d)",
-			retries, bound, fresh.Load(), clients.Load())
-	}
-	if transfers.Load() == 0 {
-		fail("no transfer ever committed; chaos too aggressive to be meaningful")
-	}
-	t.Logf("%s seed=%d: %d transfers, %d retries (bound %d), %d sheds, breaker opens %d, slowed %d deliveries",
-		profile.Name, seed, transfers.Load(), retries, bound,
-		shedTotal(mergedServerCounters(c, shards, replicas)), snap.Counters["breaker_open_total"], in.Stats().Slowed)
+		// (a) no retry storm: the token bucket bounds retries by
+		// construction; this asserts the wiring didn't leak a path around it.
+		snap := r.c.Obs.Snapshot()
+		retries := snap.Counters["resilience_retries_total"]
+		fresh, clients := r.fresh.Load(), r.clients.Load()
+		bound := int64(budgetRatio*float64(fresh)) + budgetBurst*clients
+		if retries > bound {
+			r.fail("retry storm: %d retries > budget bound %d (fresh=%d clients=%d)", retries, bound, fresh, clients)
+		}
+		t.Logf("%d transfers, %d retries (bound %d), %d sheds, breaker opens %d, slowed %d deliveries",
+			r.transfers.Load(), retries, bound, shedTotal(mergedServerCounters(r.c, bankShards, bankReplicas)),
+			snap.Counters["breaker_open_total"], r.in.Stats().Slowed)
+	})
 }
 
 // mergedServerCounters folds every live replica's registry into one counter
@@ -445,14 +242,7 @@ func TestOverloadGoodputCurve(t *testing.T) {
 				cl := c.NewTxnClient(uint32(1000 + w))
 				for i := 0; time.Now().Before(stopAt); i++ {
 					tctx, cancel := context.WithTimeout(ctx, time.Second)
-					err := cl.RunTransaction(tctx, func(tx *milana.Txn) error {
-						raw, _, err := tx.Get(tctx, key(w, i))
-						if err != nil {
-							return err
-						}
-						n, _ := strconv.Atoi(string(raw))
-						return tx.Put(key(w, i), []byte(strconv.Itoa(n+1)))
-					})
+					err := cl.RunTransaction(tctx, increment(tctx, key(w, i)))
 					cancel()
 					switch {
 					case err == nil:

@@ -194,7 +194,7 @@ func (c *Chaos) Step() string {
 	case 4: // full heal + restart (rare global recovery)
 		c.in.Heal()
 		for n := range c.crashed {
-			c.in.Restart(n)
+			c.in.Unfreeze(n)
 		}
 		c.crashed = make(map[string]int)
 		c.parted = make(map[[2]string]bool)

@@ -223,24 +223,6 @@ func (in *Injector) Slow(name string) time.Duration {
 	return in.slow[name]
 }
 
-// Crash is a legacy alias for Freeze. The old name oversold itself: it
-// never destroyed state, it only unplugged the endpoint — pair it with
-// core.Cluster.KillPrimary for stateful failover, or use the kill path
-// for true crash-with-amnesia.
-//
-// Deprecated: use Freeze (same semantics, honest name).
-func (in *Injector) Crash(name string) { in.Freeze(name) }
-
-// Restart is a legacy alias for Unfreeze.
-//
-// Deprecated: use Unfreeze.
-func (in *Injector) Restart(name string) { in.Unfreeze(name) }
-
-// Crashed is a legacy alias for Frozen.
-//
-// Deprecated: use Frozen.
-func (in *Injector) Crashed(name string) bool { return in.Frozen(name) }
-
 // Quiesce returns the network to health: probabilistic faults off, all
 // partitions healed, all crashed endpoints restarted, and every in-flight
 // duplicate delivery drained. Call it before a post-chaos audit.

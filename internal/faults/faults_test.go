@@ -150,20 +150,20 @@ func TestAsymmetricPartitionLosesReply(t *testing.T) {
 
 func TestCrashIsolatesBothDirections(t *testing.T) {
 	in, _, served := newTestNet(t, Options{Seed: 1})
-	in.Crash("srv")
-	if !in.Crashed("srv") {
-		t.Fatal("Crashed = false")
+	in.Freeze("srv")
+	if !in.Frozen("srv") {
+		t.Fatal("Frozen = false")
 	}
 	if _, err := in.Client("a").Call(context.Background(), "srv", "x"); !errors.Is(err, ErrUnreachable) {
 		t.Fatalf("to crashed: %v", err)
 	}
 	// A crashed endpoint cannot send either.
-	in.Crash("a")
-	in.Restart("srv")
+	in.Freeze("a")
+	in.Unfreeze("srv")
 	if _, err := in.Client("a").Call(context.Background(), "srv", "x"); !errors.Is(err, ErrUnreachable) {
 		t.Fatalf("from crashed: %v", err)
 	}
-	in.Restart("a")
+	in.Unfreeze("a")
 	if _, err := in.Client("a").Call(context.Background(), "srv", "x"); err != nil {
 		t.Fatalf("after restart: %v", err)
 	}
@@ -175,7 +175,7 @@ func TestCrashIsolatesBothDirections(t *testing.T) {
 func TestQuiesceRestoresHealth(t *testing.T) {
 	in, _, _ := newTestNet(t, Options{Seed: 9, PDropRequest: 1, PDropReply: 1, PDuplicate: 1})
 	in.Partition("a", "srv")
-	in.Crash("b")
+	in.Freeze("b")
 	in.Quiesce()
 	for _, from := range []string{"a", "b"} {
 		if _, err := in.Client(from).Call(context.Background(), "srv", "x"); err != nil {
@@ -323,7 +323,7 @@ func TestChaosKeepsQuorumsLive(t *testing.T) {
 	// After Stop everything is healed and restarted.
 	for _, g := range groups {
 		for _, n := range g {
-			if in.Crashed(n) {
+			if in.Frozen(n) {
 				t.Fatalf("%s still crashed after Stop", n)
 			}
 		}

@@ -4,8 +4,8 @@ package resilience
 // core.ClusterOptions carries one of these and fans the pieces out — Retry
 // to each client (with its own Budget), Breaker around each client's
 // transport, Admission into each server. The zero value enables everything
-// with defaults; the No* switches turn individual mechanisms off for A/B
-// tests and the overhead gate.
+// with defaults; NoRetry turns the retry policy off for tests that must see
+// each failure exactly once.
 type Options struct {
 	Retry     RetryOptions
 	Breaker   BreakerOptions
@@ -14,8 +14,4 @@ type Options struct {
 	// NoRetry disables the budgeted backoff policy in RunTransaction
 	// (restoring the seed's immediate-retry loop).
 	NoRetry bool
-	// NoBreaker disables the per-endpoint circuit breakers.
-	NoBreaker bool
-	// NoAdmission disables server-side load shedding.
-	NoAdmission bool
 }

@@ -73,9 +73,6 @@ type ServerOptions struct {
 	// Metrics is the server's observability registry. Nil means the
 	// server creates its own, so StatsRequest{Detailed} always has data.
 	Metrics *obs.Registry
-	// TraceRing bounds the ring of spans retained for TraceRequest
-	// stitching. 0 means 4096; negative disables span recording.
-	TraceRing int
 	// SlowRequestThreshold makes any RPC whose serve latency exceeds it
 	// log one structured line including its trace ID, so traces and logs
 	// cross-reference. 0 disables.
@@ -145,6 +142,10 @@ type serverMetrics struct {
 	clockSinceSync, watermarkLag              *obs.Gauge
 }
 
+// traceRing bounds the ring of spans each server retains for TraceRequest
+// stitching.
+const traceRing = 4096
+
 // Server is one shard replica.
 type Server struct {
 	opt    ServerOptions
@@ -155,7 +156,7 @@ type Server struct {
 	om     serverMetrics
 	routes routes
 	repl   *batcher
-	spans  *obs.SpanStore // nil when TraceRing < 0
+	spans  *obs.SpanStore
 
 	// WAL state (opt.Log != nil). walSinceCkpt counts records appended
 	// since the last checkpoint; walCkptBusy admits one checkpoint writer
@@ -220,13 +221,7 @@ func NewServer(opt ServerOptions) (*Server, error) {
 		watermarkLag:     s.reg.Gauge("semel_watermark_lag_ns"),
 	}
 	s.routes = newRoutes(s)
-	if opt.TraceRing >= 0 {
-		ring := opt.TraceRing
-		if ring == 0 {
-			ring = 4096
-		}
-		s.spans = obs.NewSpanStore(opt.Addr, ring)
-	}
+	s.spans = obs.NewSpanStore(opt.Addr, traceRing)
 	s.mgr = milana.NewManager(s)
 	s.mgr.SetMetrics(s.reg)
 	s.mgr.SetSkewWindow(opt.SkewWindow)
@@ -437,7 +432,7 @@ func (s *Server) Serve(ctx context.Context, req any) (any, error) {
 	}
 	rec := obs.ReqFrom(ctx)
 	tc, traced := rec.TraceContext, rec.Sampled
-	record := traced && rt.name != "" && s.spans != nil
+	record := traced && rt.name != ""
 	var spanID uint64
 	var startTicks int64
 	if record {
@@ -719,7 +714,7 @@ func (s *Server) handleReplicateData(_ context.Context, r wire.ReplicateData) (a
 	_ = storage.ForEach(s.opt.Backend, len(r.Ops), func(i int) error {
 		op := r.Ops[i]
 		var startTicks int64
-		record := op.TC.Sampled && s.spans != nil
+		record := op.TC.Sampled
 		if record {
 			startTicks = s.opt.Clock.Now().Ticks
 		}

@@ -19,7 +19,8 @@ import (
 // startInstrumentedTCPShard boots a 3-replica shard over real TCP with all
 // three servers folding their request ledgers into srvReg. The returned
 // client carries cliReg so its frame codec takes the clock reads that stage
-// attribution of encode/decode piggybacks on.
+// attribution of encode/decode piggybacks on. Nil registries give plain
+// servers and a plain client.
 func startInstrumentedTCPShard(t *testing.T, srvReg, cliReg *obs.Registry) (*cluster.Directory, *transport.TCPClient, clock.Source) {
 	t.Helper()
 	src := clock.NewSystemSource()

@@ -6,70 +6,15 @@ import (
 	"time"
 
 	"repro/internal/clock"
-	"repro/internal/cluster"
 	"repro/internal/milana"
 	"repro/internal/semel"
-	"repro/internal/storage"
-	"repro/internal/transport"
 )
-
-// startTCPShard boots a 3-replica shard over real TCP sockets.
-func startTCPShard(t *testing.T) (*cluster.Directory, *transport.TCPClient, clock.Source) {
-	t.Helper()
-	src := clock.NewSystemSource()
-
-	// Listen first to learn the ports, then wire the directory.
-	type pending struct {
-		tcp *transport.TCPServer
-		set func(*semel.Server)
-	}
-	var servers []pending
-	var addrs []string
-	for r := 0; r < 3; r++ {
-		var inner *semel.Server
-		h := transport.HandlerFunc(func(ctx context.Context, req any) (any, error) {
-			return inner.Serve(ctx, req)
-		})
-		tcp, err := transport.NewTCPServer("127.0.0.1:0", h)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { tcp.Close() })
-		servers = append(servers, pending{tcp: tcp, set: func(s *semel.Server) { inner = s }})
-		addrs = append(addrs, tcp.Addr())
-	}
-	dir, err := cluster.New([]cluster.ReplicaSet{{Primary: addrs[0], Backups: addrs[1:]}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for r := range servers {
-		net := transport.NewTCPClient()
-		t.Cleanup(net.Close)
-		srv, err := semel.NewServer(semel.ServerOptions{
-			Addr:    addrs[r],
-			Shard:   0,
-			Primary: r == 0,
-			Backend: storage.NewDRAM(),
-			Net:     net,
-			Dir:     dir,
-			Clock:   clock.NewPerfect(src, uint32(1000+r)),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(srv.Close)
-		servers[r].set(srv)
-	}
-	cli := transport.NewTCPClient()
-	t.Cleanup(cli.Close)
-	return dir, cli, src
-}
 
 // TestTCPEndToEnd drives the full SEMEL + MILANA protocol over real TCP
 // connections: replicated puts, snapshot gets, and a cross-key transaction
 // with 2PC, proving the wire codec round-trips every message type.
 func TestTCPEndToEnd(t *testing.T) {
-	dir, net, src := startTCPShard(t)
+	dir, net, src := startInstrumentedTCPShard(t, nil, nil)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 
