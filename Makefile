@@ -134,7 +134,9 @@ overload:
 # the FuzzWALReplay seed corpus — then the cold-restart harness
 # (whole-shard amnesia kill, zero lost acked writes), the restart of a
 # primary whose prepare lost its backup quorum after reaching its own log
-# (the abort it logged must survive), the promotion of a backup restarted
+# (the abort it logged must survive), the restart of a primary whose
+# single-shard prepare was sent but lost its quorum (it must end committed
+# on every replica), the promotion of a backup restarted
 # while it held an in-doubt prepare (the key must stay writable), the
 # fsync-skip mutation conviction, and a small kill-enabled chaos sweep that
 # amnesia-kills and recovers every replica while the serializability
@@ -142,7 +144,7 @@ overload:
 crash:
 	$(GO) test -race ./internal/wal/
 	CHAOS_SEED=$(CHAOS_SEED) CHAOS_ROUNDS=2 \
-		$(GO) test -race -timeout 30m -run 'TestDurabilityColdRestart|TestDurabilityQuorumLostPrepareAborts|TestDurabilityPromotedBackupLearnsDecision|TestStressWALFsyncMutationConvicted|TestReplicateDataDupAfterRecoveryIdempotent|TestStressKillChaos' -v ./internal/core/
+		$(GO) test -race -timeout 30m -run 'TestDurabilityColdRestart|TestDurabilityQuorumLostPrepareAborts|TestDurabilityQuorumLostSingleShardPrepareCommits|TestDurabilityPromotedBackupLearnsDecision|TestStressWALFsyncMutationConvicted|TestReplicateDataDupAfterRecoveryIdempotent|TestStressKillChaos' -v ./internal/core/
 
 # overhead runs the three wall-clock overhead gates: the per-txn stage ledger
 # plus a live tsdb sampler must cost < 3% of bus transaction throughput

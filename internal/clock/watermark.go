@@ -44,22 +44,38 @@ func (w *WatermarkTracker) Forget(client uint32) {
 }
 
 // Watermark returns the current watermark: the minimum reported timestamp,
-// or Zero if no client has reported.
+// or Zero if no client has reported. It never falls — below a watermark once
+// returned (or raised to, see Raise) the store keeps only the youngest
+// version of each key, and a client that joins with an older report cannot
+// bring the others back.
 func (w *WatermarkTracker) Watermark() Timestamp {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.dirty {
-		w.cached = Zero
-		first := true
+		low, first := Zero, true
 		for _, ts := range w.reports {
-			if first || ts.Before(w.cached) {
-				w.cached = ts
+			if first || ts.Before(low) {
+				low = ts
 				first = false
 			}
+		}
+		if low.After(w.cached) {
+			w.cached = low
 		}
 		w.dirty = false
 	}
 	return w.cached
+}
+
+// Raise lifts the watermark to ts without a client report, for a watermark
+// learned from elsewhere — a checkpoint's, which the store has already pruned
+// by. A report standing in for it would pin the minimum there forever.
+func (w *WatermarkTracker) Raise(ts Timestamp) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if ts.After(w.cached) {
+		w.cached = ts
+	}
 }
 
 // Clients returns the number of clients currently reporting.

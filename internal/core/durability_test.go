@@ -259,11 +259,12 @@ func (n quorumLossNet) Call(ctx context.Context, addr string, req any) (any, err
 }
 
 // TestDurabilityQuorumLostPrepareAborts is the cold-restart half of the
-// overlapped prepare's failure rule. The primary appends the prepare to its
-// own log while the backup fan-out runs; when the fan-out then fails, the
-// vote is NO — and the log must say so too. Otherwise replay finds a lone
-// prepared single-shard record and §4.5's rule commits, after restart, a
-// transaction its client was told aborted.
+// overlapped prepare's failure rule for a transaction with several
+// participants. The primary appends the prepare to its own log while the
+// backup fan-out runs; when the fan-out then fails, the vote is NO — and the
+// log must say so too. Otherwise replay finds a lone prepared record and a
+// restarted primary leaves in doubt, for CTP to commit, a transaction its
+// client was told aborted.
 func TestDurabilityQuorumLostPrepareAborts(t *testing.T) {
 	primary := Addr(0, 0)
 	var armed atomic.Bool
@@ -285,7 +286,7 @@ func TestDurabilityQuorumLostPrepareAborts(t *testing.T) {
 	armed.Store(true)
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	resp, err := c.Server(primary).Serve(ctx, wire.PrepareRequest{
-		ID: id, CommitTs: c.ClientClock(1).Now(), Participants: []int{0},
+		ID: id, CommitTs: c.ClientClock(1).Now(), Participants: []int{0, 1},
 		WriteSet: []wire.KV{{Key: key, Val: []byte("never")}},
 	})
 	cancel()
@@ -312,6 +313,66 @@ func TestDurabilityQuorumLostPrepareAborts(t *testing.T) {
 	}
 }
 
+// TestDurabilityQuorumLostSingleShardPrepareCommits is the same failure for
+// a transaction with one participant, whose prepared record is its commit: a
+// backup that receives it commits it, so once the record was sent the
+// primary must never abort it. The client hears no vote and reports
+// ErrUnknown; the record stays in doubt in the primary's log, and a restart
+// and a sweep leave it committed on every replica.
+func TestDurabilityQuorumLostSingleShardPrepareCommits(t *testing.T) {
+	primary := Addr(0, 0)
+	var armed atomic.Bool
+	c := newTestCluster(t, ClusterOptions{
+		Shards: 1, Replicas: 3,
+		LeaseDuration:       -1,
+		AntiEntropyInterval: 20 * time.Millisecond,
+		PreparedTimeout:     time.Hour, // the test runs the only sweep
+		WALRoot:             t.TempDir(),
+		NetWrapper: func(name string, inner transport.Client) transport.Client {
+			if name != primary {
+				return inner
+			}
+			return quorumLossNet{Client: inner, armed: &armed, down: Addr(0, 1), slow: Addr(0, 2)}
+		},
+	})
+	key := []byte("quorum-lost:single")
+	txc := c.NewTxnClient(1)
+	armed.Store(true)
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	err := txc.RunTransaction(ctx, func(tx *milana.Txn) error { return tx.Put(key, []byte("1")) })
+	cancel()
+	armed.Store(false)
+	if !errors.Is(err, milana.ErrUnknown) {
+		t.Fatalf("commit without a quorum returned %v, want ErrUnknown", err)
+	}
+	if n := c.Server(primary).Manager().PreparedCount(); n != 1 {
+		t.Fatalf("%d transactions in doubt on the primary, want 1", n)
+	}
+
+	if err := c.KillServer(primary); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.RestartServer(primary); err != nil {
+		t.Fatal(err)
+	}
+	mgr := c.Server(primary).Manager()
+	mgr.SweepPrepared(context.Background(), 0)
+	if n := mgr.PreparedCount(); n != 0 {
+		t.Fatalf("%d transactions still in doubt after restart and sweep", n)
+	}
+	for r := 0; r < 3; r++ {
+		addr := Addr(0, r)
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+			if val, _, found, _ := c.Backend(addr).Latest(key); found && string(val) == "1" {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("replica %s never committed the write set", addr)
+			}
+		}
+	}
+}
+
 // TestDurabilityPromotedBackupLearnsDecision: a backup is amnesia-killed while
 // it holds an in-doubt prepare, restarts, learns the commit by replication,
 // and is then promoted. The key must stay writable: replay and the live
@@ -328,7 +389,7 @@ func TestDurabilityPromotedBackupLearnsDecision(t *testing.T) {
 	key := []byte("promoted:k")
 	rec := wire.TxnRecord{
 		ID: wire.TxnID{Client: 7, Seq: 1}, CommitTs: c.ClientClock(7).Now(),
-		WriteSet: []wire.KV{{Key: key, Val: []byte("1")}}, Participants: []int{0},
+		WriteSet: []wire.KV{{Key: key, Val: []byte("1")}}, Participants: []int{0, 1},
 		Status: wire.StatusPrepared,
 	}
 	if _, err := c.Bus.Call(ctx, backup, wire.ReplicatePrepare{Record: rec}); err != nil {

@@ -13,6 +13,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/milana"
 	"repro/internal/semel"
+	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
@@ -470,11 +471,20 @@ func TestSingleVersionForcesTardyAborts(t *testing.T) {
 	}
 	r := c.NewTxnClient(2)
 	tx := r.Begin() // snapshot now
-	// Writer commits a newer version after the reader's ts_begin.
+	// Writer commits a newer version after the reader's ts_begin. On flash
+	// the commit's apply runs after the vote: wait until the store holds it.
 	if err := w.RunTransaction(ctx, func(t *milana.Txn) error {
 		return t.Put([]byte("k"), []byte("v2"))
 	}); err != nil {
 		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if val, _, _, _ := c.Backend(Addr(0, 0)).Latest([]byte("k")); string(val) == "v2" {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the primary never applied the second write")
+		}
 	}
 	_, _, err := tx.Get(ctx, []byte("k"))
 	if !errors.Is(err, milana.ErrAborted) {
@@ -672,4 +682,128 @@ func TestSemelClientRejectedWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = semel.ErrRejected // the lagging-writer path is covered in exp/fig1
+}
+
+// countingNet counts, per destination and message type, the requests a
+// cluster endpoint sends; a Replicated envelope counts as its inner message.
+type countingNet struct {
+	transport.Client
+	mu     *sync.Mutex
+	counts map[string]int // "<addr> <type>"
+}
+
+func (n countingNet) Call(ctx context.Context, addr string, req any) (any, error) {
+	msg := req
+	if env, ok := req.(wire.Replicated); ok {
+		msg = env.Msg
+	}
+	n.mu.Lock()
+	n.counts[fmt.Sprintf("%s %T", addr, msg)]++
+	n.mu.Unlock()
+	return n.Client.Call(ctx, addr, req)
+}
+
+// TestSingleShardCommitSendsNoDecision counts the 2PC messages of commits
+// on a bus cluster. A read-write transaction on one shard sends its prepare
+// and the prepare's replication, and nothing after: its prepared record is
+// its commit. A two-shard transaction still sends a decision to each
+// participant, and each decision reaches every backup.
+func TestSingleShardCommitSendsNoDecision(t *testing.T) {
+	var mu sync.Mutex
+	counts := make(map[string]int)
+	c := newTestCluster(t, ClusterOptions{
+		Shards: 2, Replicas: 3, LeaseDuration: -1, AntiEntropyInterval: -1,
+		NetWrapper: func(_ string, inner transport.Client) transport.Client {
+			return countingNet{Client: inner, mu: &mu, counts: counts}
+		},
+	})
+	var keys [2][]byte
+	for i := 0; keys[0] == nil || keys[1] == nil; i++ {
+		k := []byte(fmt.Sprintf("count:%d", i))
+		keys[c.Dir.ShardFor(k)] = k
+	}
+	// want polls until every listed count is reached — fan-out beyond the
+	// f acknowledgements finishes in the background — then requires each
+	// to stay exact.
+	want := func(phase string, exact map[string]int) {
+		t.Helper()
+		check := func() (string, bool) {
+			mu.Lock()
+			defer mu.Unlock()
+			for k, n := range exact {
+				if counts[k] != n {
+					return fmt.Sprintf("%s: %q sent %d times, want %d", phase, k, counts[k], n), false
+				}
+			}
+			return "", true
+		}
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+			if _, ok := check(); ok {
+				break
+			}
+			if time.Now().After(deadline) {
+				msg, _ := check()
+				t.Fatal(msg)
+			}
+		}
+		time.Sleep(20 * time.Millisecond)
+		if msg, ok := check(); !ok {
+			t.Fatal(msg)
+		}
+	}
+	key := func(addr string, msg any) string { return fmt.Sprintf("%s %T", addr, msg) }
+	primary0, backups0 := Addr(0, 0), []string{Addr(0, 1), Addr(0, 2)}
+
+	ctx := context.Background()
+	txc := c.NewTxnClient(1)
+	txc.SyncDecisions = true
+	const n = 10
+	for i := 0; i < n; i++ {
+		if err := txc.RunTransaction(ctx, func(tx *milana.Txn) error {
+			if _, _, err := tx.Get(ctx, keys[0]); err != nil {
+				return err
+			}
+			return tx.Put(keys[0], []byte(fmt.Sprint(i)))
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := txc.Stats(); st.Committed != n || st.Aborted != 0 {
+		t.Fatalf("client stats %+v, want %d commits and no aborts", st, n)
+	}
+	single := map[string]int{
+		key(primary0, wire.PrepareRequest{}):  n,
+		key(primary0, wire.DecisionRequest{}): 0,
+	}
+	for _, b := range backups0 {
+		single[key(b, wire.ReplicatePrepare{})] = n
+		single[key(b, wire.ReplicateDecision{})] = 0
+	}
+	want("single-shard commits", single)
+
+	if err := txc.RunTransaction(ctx, func(tx *milana.Txn) error {
+		if err := tx.Put(keys[0], []byte("both")); err != nil {
+			return err
+		}
+		return tx.Put(keys[1], []byte("both"))
+	}); err != nil {
+		t.Fatal(err)
+	}
+	both := map[string]int{
+		key(primary0, wire.PrepareRequest{}):    n + 1,
+		key(primary0, wire.DecisionRequest{}):   1,
+		key(Addr(1, 0), wire.PrepareRequest{}):  1,
+		key(Addr(1, 0), wire.DecisionRequest{}): 1,
+	}
+	for s := 0; s < 2; s++ {
+		prepares := 1
+		if s == 0 {
+			prepares = n + 1
+		}
+		for r := 1; r < 3; r++ {
+			both[key(Addr(s, r), wire.ReplicatePrepare{})] = prepares
+			both[key(Addr(s, r), wire.ReplicateDecision{})] = 1
+		}
+	}
+	want("two-shard commit", both)
 }

@@ -229,6 +229,7 @@ func runMilana(ctx context.Context, c *core.Cluster, o milanaRun) (runResult, er
 
 	runCtx, cancel := context.WithTimeout(ctx, o.Duration)
 	defer cancel()
+	end, _ := runCtx.Deadline()
 
 	var (
 		wg       sync.WaitGroup
@@ -267,7 +268,10 @@ func runMilana(ctx context.Context, c *core.Cluster, o milanaRun) (runResult, er
 					if errors.Is(err, milana.ErrAborted) && runCtx.Err() == nil {
 						continue // retry with the same keys, no wait (§5.2)
 					}
-					if runCtx.Err() != nil {
+					// A prepare whose backup fan-out the run's deadline cut
+					// short gets no vote, so its single-shard commit ends
+					// unknown, possibly before runCtx reports the deadline.
+					if runCtx.Err() != nil || !time.Now().Before(end) {
 						return
 					}
 					firstErr.CompareAndSwap(nil, err)

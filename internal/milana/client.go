@@ -62,7 +62,8 @@ type Client struct {
 	LocalValidation bool
 	// SyncDecisions makes Commit wait for phase-two acknowledgements
 	// instead of notifying primaries asynchronously (used by tests that
-	// need determinism; the paper's client notifies asynchronously).
+	// need determinism; the paper's client notifies asynchronously). A
+	// single-shard commit has no phase two to wait for.
 	SyncDecisions bool
 	// ReadNearest sends transactional reads to a random replica instead
 	// of the primary (§4.6's relaxation for read-write transactions).
@@ -605,8 +606,10 @@ func (t *Txn) commit2PC(ctx context.Context) error {
 	reason := wire.AbortNone
 	// decide lists the participants phase two must reach: all but those that
 	// voted ABORT, which hold nothing to decide (a NO vote leaves no
-	// prepared record behind).
-	decide := make([]int, 0, len(participants))
+	// prepared record behind). A transaction with one participant has no
+	// phase two: that participant's YES vote is the commit, since its
+	// prepared record commits wherever it lands.
+	var decide []int
 	for range participants {
 		v := <-votes
 		if v.err != nil && firstErr == nil {
@@ -614,7 +617,7 @@ func (t *Txn) commit2PC(ctx context.Context) error {
 		}
 		if v.err == nil && !v.ok {
 			explicitAbort = true // a participant voted ABORT
-		} else {
+		} else if len(participants) > 1 {
 			decide = append(decide, v.shard)
 		}
 		if v.err != nil || !v.ok {
@@ -633,8 +636,8 @@ func (t *Txn) commit2PC(ctx context.Context) error {
 
 	// A prepare whose outcome we never learned (transport error, not an
 	// ABORT vote) must be left in doubt — for any participant count.
-	// §4.5's recovery rules auto-commit a prepared single-shard
-	// transaction, and the Cooperative Termination Protocol commits a
+	// Every replica commits a prepared single-shard transaction, and the
+	// Cooperative Termination Protocol commits a
 	// multi-shard transaction all of whose participants prepared; a lost
 	// *reply* means exactly that may have happened. Issuing an abort
 	// decision here (the messages could be lost too) while reporting

@@ -27,20 +27,29 @@ func clientGoroutines() int {
 	return n
 }
 
-// TestAsyncDecisionsReuseParkedWorkers: sequential commits send their
-// asynchronous decisions on a few reused notifier goroutines — bounded by
-// how many notifies overlap, not by how many commits ran — which exit once
+// TestAsyncDecisionsReuseParkedWorkers: sequential two-shard commits send
+// their asynchronous decisions on a few reused notifier goroutines — bounded
+// by how many notifies overlap, not by how many commits ran — which exit once
 // traffic stops.
 func TestAsyncDecisionsReuseParkedWorkers(t *testing.T) {
-	c, err := core.NewCluster(core.ClusterOptions{Shards: 1, Replicas: 3})
+	c, err := core.NewCluster(core.ClusterOptions{Shards: 2, Replicas: 3})
 	if err != nil {
 		t.Fatal(err)
+	}
+	// One key on each shard, so every commit has a phase two.
+	var keys [2][]byte
+	for i := 0; keys[0] == nil || keys[1] == nil; i++ {
+		k := []byte(fmt.Sprintf("k%d", i))
+		keys[c.Dir.ShardFor(k)] = k
 	}
 	tc := c.NewTxnClient(1)
 	ctx := context.Background()
 	for i := 0; i < 1000; i++ {
 		if err := tc.RunTransaction(ctx, func(tx *milana.Txn) error {
-			return tx.Put([]byte(fmt.Sprintf("k%d", i%8)), []byte("v"))
+			if err := tx.Put(keys[0], []byte("v")); err != nil {
+				return err
+			}
+			return tx.Put(keys[1], []byte("v"))
 		}); err != nil {
 			t.Fatalf("commit %d: %v", i, err)
 		}

@@ -14,7 +14,11 @@
 // anti-entropy, WAL replay, checkpoint install and the failover merge. Every
 // route ends in the same two state changes, the prepared transition
 // (prepareLocked) and the decided transition (decide), so a prepare and a
-// decision leave a replica in the same state whichever way they came.
+// decision leave a replica in the same state whichever way they came. The
+// prepared record of a transaction with one participant is its commit
+// (§4.5: such a transaction "would have been committed"): every route that
+// brings one takes the decided transition right after the prepared one
+// (commitOnePhase), and no decision for it is ever sent or logged.
 // Prepared marks live only where reads and validation consult them, on a
 // serving primary: Prepare arms its own, ArmPrepared arms the table when a
 // replica becomes primary, and no other route arms.
@@ -36,6 +40,7 @@ import (
 
 	"repro/internal/clock"
 	"repro/internal/obs"
+	"repro/internal/park"
 	"repro/internal/storage"
 	"repro/internal/wire"
 )
@@ -53,8 +58,10 @@ type Host interface {
 	// appends the record to the local log (a no-op without one) while
 	// delivering it to the shard's backups, and returns once the append
 	// and f backup acknowledgements have both landed. An error wrapping
-	// ErrNotLogged means the local append failed; any other error means the
-	// record is in the local log but did not reach f backups.
+	// ErrNotSent means no backup was sent the record, and a prepare that was
+	// not sent is not logged either; one wrapping ErrNotLogged means the
+	// local append failed; any other error means the record is in the local
+	// log and was sent, but did not reach f backups.
 	Persist(ctx context.Context, msg any) error
 	// CallPrimary sends req to the current primary of another shard.
 	CallPrimary(ctx context.Context, shard int, req any) (any, error)
@@ -65,6 +72,11 @@ type Host interface {
 // ErrNotLogged marks a Host.Persist failure in which the record did not
 // reach the local log.
 var ErrNotLogged = errors.New("milana: record not logged")
+
+// ErrNotSent marks a Host.Persist failure in which no backup was sent the
+// record: the replica was deposed, the caller's deadline had passed, or the
+// shard directory failed.
+var ErrNotSent = errors.New("milana: record not sent")
 
 // decidedRetention bounds the memory of the decided-transactions map: a
 // decision is queryable by CTP for at least this long. It is far larger
@@ -190,6 +202,10 @@ type Manager struct {
 	host Host
 	om   managerMetrics
 
+	// appliers take one-phase commits on a blocking backend (see
+	// commitOnePhase).
+	appliers *park.Pool[*txnState]
+
 	// skewWindow is the Late*-abort margin at or below which the race is
 	// attributed to clock skew (see SetSkewWindow). Atomic: read per abort.
 	skewWindow atomic.Int64
@@ -210,13 +226,18 @@ type Manager struct {
 
 // NewManager creates a Manager bound to its host server.
 func NewManager(host Host) *Manager {
-	return &Manager{
+	m := &Manager{
 		host:    host,
 		keys:    make(map[string]*keyMeta),
 		table:   make(map[wire.TxnID]*txnState),
 		decided: make(map[wire.TxnID]decidedEntry),
 	}
+	m.appliers = park.New(func(st *txnState) { _ = m.commit(context.Background(), st) })
+	return m
 }
+
+// Close makes the parked appliers exit; a commit being applied finishes.
+func (m *Manager) Close() { m.appliers.Close() }
 
 // SetMetrics wires the manager's instrumentation into reg (the hosting
 // server's registry). Call before serving traffic.
@@ -365,7 +386,8 @@ func (m *Manager) LatestCommitted(key []byte) clock.Timestamp {
 
 // Prepare is 2PC phase one on a participant primary: validate with
 // Algorithm 1, persist the prepared record (local log and f backups), and
-// vote.
+// vote. For a transaction with one participant the YES vote is the commit:
+// the primary commits it once the record is durable (commitOnePhase).
 //
 // A prepare whose only obstacle is an older transaction's prepared mark on a
 // key it writes parks on that transaction's decision (wait-die ordering on
@@ -451,21 +473,30 @@ func (m *Manager) persistPrepare(ctx context.Context, st *txnState) (wire.Prepar
 	// persist it — local log and f of 2f backups together (Figure 4/5) —
 	// before voting.
 	err := m.host.Persist(ctx, wire.ReplicatePrepare{Record: st.rec})
+	single := onePhase(st.rec)
 	if err == nil {
+		if single {
+			// A failed apply leaves the record prepared for the sweeper,
+			// which commits it: the vote stands.
+			_ = m.commitOnePhase(ctx, st)
+		}
 		return wire.PrepareResponse{OK: true}, nil
 	}
-	if errors.Is(err, ErrNotLogged) {
+	if errors.Is(err, ErrNotLogged) || single && !errors.Is(err, ErrNotSent) {
 		// No vote: the transaction stays prepared, in doubt, for the
-		// sweeper to terminate.
+		// sweeper to terminate. A single-participant record that was sent
+		// may be held by a backup, which committed it on receipt, so it must
+		// never be aborted; the sweeper commits it.
 		return wire.PrepareResponse{}, err
 	}
-	// The record is in the local log but did not reach f backups. Voting
-	// NO is only safe once the log says so too: replayed alone, the prepare
-	// would let §4.5's single-shard rule commit a transaction its client
-	// was told aborted. applyDecision aborts in memory first and logs
-	// second — logging before the release would let a concurrent checkpoint
-	// cover the abort's LSN with a table image that still shows the
-	// transaction prepared.
+	// No backup holds the record (and a prepare that was not sent is not
+	// logged), or it has several participants and did not reach f backups.
+	// Voting NO is only safe once the log says so too: replayed alone, a
+	// logged prepare would let the prepared record commit under §4.5's rule
+	// or CTP while its client was told it aborted. applyDecision aborts in
+	// memory first and logs second — logging before the release would let a
+	// concurrent checkpoint cover the abort's LSN with a table image that
+	// still shows the transaction prepared.
 	if lerr := m.applyDecision(ctx, st, wire.ReplicateDecision{ID: st.rec.ID}); errors.Is(lerr, ErrNotLogged) {
 		return wire.PrepareResponse{}, lerr
 	}
@@ -609,6 +640,34 @@ func (m *Manager) decide(ctx context.Context, st *txnState, rec wire.TxnRecord) 
 	}
 }
 
+// commitOnePhase takes the decided transition for st, the table entry of a
+// transaction with one participant, as a commit: its prepared record is its
+// commit, so no decision is sent or logged for it. It runs the way
+// storage.ForEach runs per-key work. On a backend that never waits it runs
+// inline, on ctx, before the caller answers, and the apply is charged to
+// ctx's ledger. On one that waits it runs on a parked applier once the caller
+// has answered, so a vote or an ack never waits on a flash program. Either
+// way the entry stays in the table, and its marks stay armed, until the write
+// set is applied: a read parks on the marks, a checkpoint lists the record,
+// and a replay of it commits it. An apply that fails leaves the record
+// prepared; on a primary the sweeper commits it.
+func (m *Manager) commitOnePhase(ctx context.Context, st *txnState) error {
+	if m.host.Backend().Blocking() {
+		m.appliers.Go(st)
+		return nil
+	}
+	return m.commit(ctx, st)
+}
+
+// onePhase reports whether rec's transaction has one participant, so that its
+// prepared record is its commit.
+func onePhase(rec wire.TxnRecord) bool { return len(rec.Participants) <= 1 }
+
+// commit takes the decided transition for st as a commit.
+func (m *Manager) commit(ctx context.Context, st *txnState) error {
+	return m.decide(ctx, st, wire.TxnRecord{ID: st.rec.ID, Status: wire.StatusCommitted})
+}
+
 // decideLocked records rec's decision, under m.mu: it releases the prepared
 // marks rec's transaction holds and wakes the reads parked on them, raises
 // latestCommitted on a commit, drops the table entry and remembers the
@@ -731,7 +790,8 @@ func (m *Manager) pruneDecidedLocked() {
 // inconsistent replication may deliver a decision before its prepare
 // (Figure 5). A prepared record takes the prepared transition: the late
 // prepare of a committed transaction applies the write set its decision
-// could not, and that of an aborted one is dropped. A decided record (a
+// could not, and that of an aborted one is dropped; one with a single
+// participant then commits (commitOnePhase). A decided record (a
 // ReplicateDecision is TxnRecord{ID, Status}) takes the decided transition,
 // which applies a commit's write set from the table entry — on replay, the
 // only way back for data a primary wrote straight to its backend. Learn
@@ -740,14 +800,18 @@ func (m *Manager) pruneDecidedLocked() {
 func (m *Manager) Learn(ctx context.Context, rec wire.TxnRecord) error {
 	switch rec.Status {
 	case wire.StatusPrepared:
+		st := &txnState{rec: rec, preparedAt: time.Now()}
 		m.mu.Lock()
-		status := m.prepareLocked(&txnState{rec: rec, preparedAt: time.Now()})
+		status := m.prepareLocked(st)
 		m.mu.Unlock()
-		if status != wire.StatusCommitted {
-			return nil
+		switch {
+		case status == wire.StatusCommitted:
+			rec.Status = status
+			return m.decide(ctx, nil, rec)
+		case status == wire.StatusPrepared && onePhase(rec):
+			return m.commitOnePhase(ctx, st)
 		}
-		rec.Status = status
-		return m.decide(ctx, nil, rec)
+		return nil
 	case wire.StatusCommitted, wire.StatusAborted:
 		m.mu.Lock()
 		st := m.table[rec.ID]
@@ -863,12 +927,12 @@ func coordinatorShard(participants []int) int {
 //  3. any participant voted abort → abort;
 //  4. all participants prepared successfully → commit.
 func (m *Manager) terminate(ctx context.Context, rec wire.TxnRecord) (commit, ok bool) {
-	if len(rec.Participants) <= 1 {
+	if onePhase(rec) {
 		// §4.5: a prepared single-shard transaction "would have been
-		// committed". This rule is sound only because the client never
-		// issues an abort for a single-participant prepare whose vote
-		// it failed to receive (see Txn.commit2PC): otherwise this
-		// auto-commit could contradict a delivered abort.
+		// committed" — here only one whose apply failed or whose Persist
+		// sent the record without the acknowledgements to vote (see
+		// persistPrepare). Its client sends no decision: the prepared
+		// record is the commit.
 		return true, true
 	}
 	for _, p := range rec.Participants {

@@ -9,20 +9,23 @@ import (
 	"time"
 
 	"repro/internal/clock"
+	"repro/internal/obs"
 	"repro/internal/storage"
 	"repro/internal/wire"
 )
 
 // fakeHost is a single-shard host with loopback replication and scriptable
 // peer primaries. Persist records each message and fails as scripted:
-// logErr fails the local append, replErr (with the append succeeding) the
-// backup fan-out; onPersist, when set, sees each message first.
+// sendErr sends nothing, logErr fails the local append, replErr (with the
+// append succeeding) the backup fan-out; onPersist, when set, sees each
+// message first.
 type fakeHost struct {
 	backend storage.Backend
 	shard   int
 
 	mu        sync.Mutex
 	persisted []any
+	sendErr   error
 	replErr   error
 	logErr    error
 	onPersist func(msg any)
@@ -39,10 +42,13 @@ func (h *fakeHost) ShardID() int             { return h.shard }
 func (h *fakeHost) Persist(ctx context.Context, msg any) error {
 	h.mu.Lock()
 	h.persisted = append(h.persisted, msg)
-	replErr, logErr, hook := h.replErr, h.logErr, h.onPersist
+	sendErr, replErr, logErr, hook := h.sendErr, h.replErr, h.logErr, h.onPersist
 	h.mu.Unlock()
 	if hook != nil {
 		hook(msg)
+	}
+	if sendErr != nil {
+		return fmt.Errorf("%w: %w", ErrNotSent, sendErr)
 	}
 	if logErr != nil {
 		return fmt.Errorf("%w: %w", ErrNotLogged, logErr)
@@ -62,14 +68,24 @@ func (h *fakeHost) CallPrimary(ctx context.Context, shard int, req any) (any, er
 
 func ts(t int64) clock.Timestamp { return clock.Timestamp{Ticks: t, Client: 1} }
 
+// prepReq is a prepare of a transaction with two participants, this shard
+// and shard 1, so that a YES vote leaves it prepared until a decision.
 func prepReq(id uint64, commit int64, reads []wire.ReadKey, writes []wire.KV) wire.PrepareRequest {
 	return wire.PrepareRequest{
 		ID:           wire.TxnID{Client: 1, Seq: id},
 		CommitTs:     ts(commit),
 		ReadSet:      reads,
 		WriteSet:     writes,
-		Participants: []int{0},
+		Participants: []int{0, 1},
 	}
+}
+
+// singleReq is prepReq for a transaction with this shard as its only
+// participant: its prepared record is its commit.
+func singleReq(id uint64, commit int64, reads []wire.ReadKey, writes []wire.KV) wire.PrepareRequest {
+	req := prepReq(id, commit, reads, writes)
+	req.Participants = []int{0}
+	return req
 }
 
 func TestValidationCleanCommit(t *testing.T) {
@@ -345,6 +361,152 @@ func TestLocalLogFailureNoVote(t *testing.T) {
 	}
 }
 
+// persistedMsgs copies the messages h was asked to persist.
+func (h *fakeHost) persistedMsgs() []any {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return append([]any(nil), h.persisted...)
+}
+
+// TestOnePhaseCommit: with one participant the primary commits as soon as
+// the prepared record is durable — write set applied, marks released,
+// nothing prepared — and persists no decision record.
+func TestOnePhaseCommit(t *testing.T) {
+	h := newFakeHost()
+	m := NewManager(h)
+	req := singleReq(1, 100, nil, []wire.KV{{Key: []byte("a"), Val: []byte("v")}})
+	if resp, err := m.Prepare(context.Background(), req); err != nil || !resp.OK {
+		t.Fatalf("prepare = %+v, %v; want YES", resp, err)
+	}
+	if got := m.Status(req.ID); got != wire.StatusCommitted {
+		t.Fatalf("status = %v, want committed", got)
+	}
+	if val, ver, found, _ := h.backend.Latest([]byte("a")); !found || string(val) != "v" || ver != ts(100) {
+		t.Fatalf("write set not applied: %q %v %v", val, ver, found)
+	}
+	if onGet(m, endedCtx(), []byte("a"), ts(150)) || m.PreparedCount() != 0 {
+		t.Fatalf("commit left a mark or %d prepared", m.PreparedCount())
+	}
+	if got := h.persistedMsgs(); len(got) != 1 {
+		t.Fatalf("persisted %v, want the prepare alone", got)
+	}
+}
+
+// gatedBackend is a backend that waits on a device: every Put waits until
+// release is closed.
+type gatedBackend struct {
+	storage.Backend
+	release chan struct{}
+}
+
+func (b gatedBackend) Put(key, val []byte, ver clock.Timestamp) error {
+	<-b.release
+	return b.Backend.Put(key, val, ver)
+}
+
+func (gatedBackend) Blocking() bool { return true }
+
+// TestOnePhaseCommitAppliesAfterVote: on a backend that waits on a device the
+// vote does not wait for the apply. Until the write set is applied the
+// transaction stays prepared and its marks armed, so a read at a later
+// timestamp parks and wakes to the committed value.
+func TestOnePhaseCommitAppliesAfterVote(t *testing.T) {
+	h := newFakeHost()
+	release := make(chan struct{})
+	h.backend = gatedBackend{Backend: storage.NewDRAM(), release: release}
+	m := NewManager(h)
+	defer m.Close()
+	reg := obs.NewRegistry()
+	m.SetMetrics(reg)
+	req := singleReq(1, 100, nil, []wire.KV{{Key: []byte("a"), Val: []byte("v")}})
+	if resp, err := m.Prepare(context.Background(), req); err != nil || !resp.OK {
+		t.Fatalf("prepare = %+v, %v; want YES", resp, err)
+	}
+	if got := m.Status(req.ID); got != wire.StatusPrepared {
+		t.Fatalf("status before the apply = %v, want prepared", got)
+	}
+	if !onGet(m, endedCtx(), []byte("a"), ts(150)) {
+		t.Fatal("the mark was released before the write set was applied")
+	}
+	woke := make(chan bool, 1)
+	go func() { woke <- onGet(m, context.Background(), []byte("a"), ts(150)) }()
+	waitParked(t, reg, "read", 1)
+	close(release)
+	if <-woke {
+		t.Fatal("a parked read woke to a mark, not to the commit")
+	}
+	if val, _, found, _ := h.backend.Get([]byte("a"), ts(150)); !found || string(val) != "v" {
+		t.Fatalf("read after the park: %q %v, want the committed value", val, found)
+	}
+	if got := m.Status(req.ID); got != wire.StatusCommitted {
+		t.Fatalf("status = %v, want committed", got)
+	}
+}
+
+// TestSingleParticipantFailureRule: a single-participant prepare whose
+// Persist failed is aborted only if no backup was sent it — a backup that
+// holds the record commits it on receipt. Sent but short of f
+// acknowledgements, or not in the local log, it gets no vote and stays
+// prepared and marked, and the sweeper commits it.
+func TestSingleParticipantFailureRule(t *testing.T) {
+	for _, c := range []struct {
+		name                     string
+		sendErr, replErr, logErr error
+		aborted                  bool
+	}{
+		{name: "not-sent", sendErr: errors.New("deposed"), aborted: true},
+		{name: "sent-unacked", replErr: errors.New("quorum lost")},
+		{name: "not-logged", logErr: errors.New("disk gone")},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			h := newFakeHost()
+			h.sendErr, h.replErr, h.logErr = c.sendErr, c.replErr, c.logErr
+			m := NewManager(h)
+			req := singleReq(1, 100, nil, []wire.KV{{Key: []byte("a"), Val: []byte("v")}})
+			resp, err := m.Prepare(context.Background(), req)
+			prepare := wire.ReplicatePrepare{Record: wire.TxnRecord{ID: req.ID, CommitTs: req.CommitTs,
+				WriteSet: req.WriteSet, Participants: req.Participants, Status: wire.StatusPrepared}}
+			if c.aborted {
+				if err != nil || resp.OK {
+					t.Fatalf("prepare = %+v, %v; want a NO vote", resp, err)
+				}
+				want := []any{prepare, wire.ReplicateDecision{ID: req.ID, Commit: false}}
+				if got := h.persistedMsgs(); fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("persisted %v, want %v", got, want)
+				}
+				if got := m.Status(req.ID); got != wire.StatusAborted {
+					t.Fatalf("status = %v, want aborted", got)
+				}
+				if onGet(m, endedCtx(), []byte("a"), ts(150)) {
+					t.Fatal("the abort left the mark")
+				}
+				return
+			}
+			if err == nil || resp.OK {
+				t.Fatalf("prepare = %+v, %v; want an error and no vote", resp, err)
+			}
+			if got := h.persistedMsgs(); fmt.Sprint(got) != fmt.Sprint([]any{prepare}) {
+				t.Fatalf("persisted %v, want the prepare alone", got)
+			}
+			if got := m.Status(req.ID); got != wire.StatusPrepared {
+				t.Fatalf("status = %v, want prepared", got)
+			}
+			if !onGet(m, endedCtx(), []byte("a"), ts(150)) {
+				t.Fatal("the in-doubt prepare lost its mark")
+			}
+			h.mu.Lock()
+			h.replErr, h.logErr = nil, nil
+			h.mu.Unlock()
+			if res := m.SweepPrepared(context.Background(), 0); res.RecoveredCommit != 1 {
+				t.Fatalf("sweep = %+v, want one recovered commit", res)
+			}
+			if val, _, found, _ := h.backend.Latest([]byte("a")); !found || string(val) != "v" {
+				t.Fatalf("sweep did not apply the write set: %q %v", val, found)
+			}
+		})
+	}
+}
+
 func TestBackupReplicationOrderIndependence(t *testing.T) {
 	// Inconsistent replication: a backup may see the decision before the
 	// prepare (Figure 5). Both orders must converge.
@@ -504,11 +666,15 @@ func TestSweepNonCoordinatorDefersThenTerminates(t *testing.T) {
 
 func TestSingleShardPreparedCommitsOnSweep(t *testing.T) {
 	h := newFakeHost()
+	h.replErr = errors.New("quorum lost")
 	m := NewManager(h)
-	req := prepReq(1, 100, nil, []wire.KV{{Key: []byte("a"), Val: []byte("v")}})
-	if resp, _ := m.Prepare(context.Background(), req); !resp.OK {
-		t.Fatal("prepare")
+	req := singleReq(1, 100, nil, []wire.KV{{Key: []byte("a"), Val: []byte("v")}})
+	// The record was sent but not acknowledged: no vote, and it stays
+	// prepared.
+	if _, err := m.Prepare(context.Background(), req); err == nil {
+		t.Fatal("prepare voted without f acknowledgements")
 	}
+	h.replErr = nil
 	// §4.5: a prepared single-shard transaction would have committed.
 	if res := m.SweepPrepared(context.Background(), 0); res.RecoveredCommit != 1 {
 		t.Fatalf("single-shard txn not terminated as commit: %+v", res)

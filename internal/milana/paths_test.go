@@ -48,12 +48,27 @@ func replayed(t *testing.T, m *Manager, msg any) {
 	}
 }
 
-// checkpointed delivers rec to a scratch replica, checkpoints that replica's
-// table through the WAL's record encoding, and installs the checkpoint.
-func checkpointed(t *testing.T, m *Manager, rec wire.TxnRecord) {
+// holding returns a scratch replica whose table holds rec: prepared, as a
+// primary's does until a decision or a one-phase commit's apply lands, or
+// decided.
+func holding(t *testing.T, rec wire.TxnRecord) *Manager {
 	t.Helper()
 	src := NewManager(newFakeHost())
-	learn(t, src, rec)
+	if rec.Status != wire.StatusPrepared {
+		learn(t, src, rec)
+		return src
+	}
+	src.mu.Lock()
+	src.prepareLocked(&txnState{rec: rec})
+	src.mu.Unlock()
+	return src
+}
+
+// checkpointed checkpoints the table of a replica holding rec through the
+// WAL's record encoding, and installs the checkpoint.
+func checkpointed(t *testing.T, m *Manager, rec wire.TxnRecord) {
+	t.Helper()
+	src := holding(t, rec)
 	payload, err := wire.Codec.Append(nil, wire.WALCheckpoint{Txns: src.TableRecords()})
 	if err != nil {
 		t.Fatal(err)
@@ -110,9 +125,7 @@ var recordRoutes = []recordRoute{
 		// records; a backup learns decisions by delivery.
 		name: "anti-entropy",
 		prepare: func(t *testing.T, m *Manager, rec wire.TxnRecord) {
-			primary := NewManager(newFakeHost())
-			learn(t, primary, rec)
-			for _, r := range primary.TableRecords() {
+			for _, r := range holding(t, rec).TableRecords() {
 				if r.Status == wire.StatusPrepared {
 					learn(t, m, r)
 				}
@@ -146,56 +159,69 @@ type replicaState struct {
 // both outcomes — with and without key state for the written key beforehand
 // — and requires every route to leave the same state behind, including the
 // prepared-transactions gauge after each step and the marks armed once the
-// replica becomes primary.
+// replica becomes primary. A transaction with one participant has no
+// decision: its prepare alone must leave it committed by every route.
 func TestRecordPathsEquivalent(t *testing.T) {
 	key := []byte("k")
-	rec := wire.TxnRecord{
-		ID: wire.TxnID{Client: 1, Seq: 1}, CommitTs: ts(100),
-		WriteSet: []wire.KV{{Key: key, Val: []byte("v")}}, Participants: []int{0, 1},
-		Status: wire.StatusPrepared,
-	}
-	for _, r := range recordRoutes {
-		for _, decisionFirst := range []bool{false, true} {
-			for _, commit := range []bool{true, false} {
-				for _, touched := range []bool{false, true} {
-					name := fmt.Sprintf("%s/decision-first=%v/commit=%v/touched=%v", r.name, decisionFirst, commit, touched)
-					t.Run(name, func(t *testing.T) {
-						reg := obs.NewRegistry()
-						m := NewManager(newFakeHost())
-						m.SetMetrics(reg)
-						gauge := reg.Gauge("milana_prepared_txns")
-						if touched {
-							m.LatestCommitted(key) // a former primary: key state exists
+	for _, participants := range [][]int{{0, 1}, {0}} {
+		rec := wire.TxnRecord{
+			ID: wire.TxnID{Client: 1, Seq: 1}, CommitTs: ts(100),
+			WriteSet: []wire.KV{{Key: key, Val: []byte("v")}}, Participants: participants,
+			Status: wire.StatusPrepared,
+		}
+		single := len(participants) == 1
+		for _, r := range recordRoutes {
+			for _, decisionFirst := range []bool{false, true} {
+				for _, commit := range []bool{true, false} {
+					for _, touched := range []bool{false, true} {
+						if single && (decisionFirst || !commit) {
+							continue
 						}
-						d := wire.ReplicateDecision{ID: rec.ID, Commit: commit}
-						steps := []func(){func() { r.prepare(t, m, rec) }, func() { r.decide(t, m, d) }}
-						if decisionFirst {
-							steps[0], steps[1] = steps[1], steps[0]
+						name := fmt.Sprintf("%s/decision-first=%v/commit=%v/touched=%v", r.name, decisionFirst, commit, touched)
+						if single {
+							name = fmt.Sprintf("%s/one-participant/touched=%v", r.name, touched)
 						}
-						for i, step := range steps {
-							step()
-							if got, want := gauge.Value(), int64(m.PreparedCount()); got != want {
-								t.Fatalf("after step %d: gauge %d, PreparedCount %d", i, got, want)
+						t.Run(name, func(t *testing.T) {
+							reg := obs.NewRegistry()
+							m := NewManager(newFakeHost())
+							m.SetMetrics(reg)
+							gauge := reg.Gauge("milana_prepared_txns")
+							if touched {
+								m.LatestCommitted(key) // a former primary: key state exists
 							}
-						}
-						var got replicaState
-						got.status = m.Status(rec.ID)
-						got.prepared, got.gauge = int64(m.PreparedCount()), gauge.Value()
-						val, ver, found, _ := m.host.Backend().Latest(key)
-						got.val, got.ver, got.found = string(val), ver, found
-						m.ArmPrepared()
-						got.marked = onGet(m, endedCtx(), key, ts(1000))
-						got.latestCommitted = m.LatestCommitted(key)
+							d := wire.ReplicateDecision{ID: rec.ID, Commit: commit}
+							steps := []func(){func() { r.prepare(t, m, rec) }, func() { r.decide(t, m, d) }}
+							if single {
+								steps = steps[:1]
+							}
+							if decisionFirst {
+								steps[0], steps[1] = steps[1], steps[0]
+							}
+							for i, step := range steps {
+								step()
+								if got, want := gauge.Value(), int64(m.PreparedCount()); got != want {
+									t.Fatalf("after step %d: gauge %d, PreparedCount %d", i, got, want)
+								}
+							}
+							var got replicaState
+							got.status = m.Status(rec.ID)
+							got.prepared, got.gauge = int64(m.PreparedCount()), gauge.Value()
+							val, ver, found, _ := m.host.Backend().Latest(key)
+							got.val, got.ver, got.found = string(val), ver, found
+							m.ArmPrepared()
+							got.marked = onGet(m, endedCtx(), key, ts(1000))
+							got.latestCommitted = m.LatestCommitted(key)
 
-						want := replicaState{status: wire.StatusAborted}
-						if commit {
-							want = replicaState{status: wire.StatusCommitted, val: "v", ver: ts(100), found: true,
-								latestCommitted: ts(100)}
-						}
-						if got != want {
-							t.Fatalf("state %+v, want %+v", got, want)
-						}
-					})
+							want := replicaState{status: wire.StatusAborted}
+							if commit {
+								want = replicaState{status: wire.StatusCommitted, val: "v", ver: ts(100), found: true,
+									latestCommitted: ts(100)}
+							}
+							if got != want {
+								t.Fatalf("state %+v, want %+v", got, want)
+							}
+						})
+					}
 				}
 			}
 		}
@@ -247,7 +273,7 @@ func TestRecordPathsReplayedPrepareThenLearnedCommit(t *testing.T) {
 	m := NewManager(newFakeHost())
 	rec := wire.TxnRecord{
 		ID: wire.TxnID{Client: 2, Seq: 1}, CommitTs: ts(100),
-		WriteSet: []wire.KV{{Key: []byte("a"), Val: []byte("v")}}, Participants: []int{0},
+		WriteSet: []wire.KV{{Key: []byte("a"), Val: []byte("v")}}, Participants: []int{0, 1},
 		Status: wire.StatusPrepared,
 	}
 	learn(t, m, rec)
@@ -275,7 +301,7 @@ func TestMergeReplayedPrepareWithBareDecision(t *testing.T) {
 			m := NewManager(newFakeHost())
 			rec := wire.TxnRecord{
 				ID: wire.TxnID{Client: 2, Seq: 1}, CommitTs: ts(100),
-				WriteSet: []wire.KV{{Key: []byte("a"), Val: []byte("v")}}, Participants: []int{0},
+				WriteSet: []wire.KV{{Key: []byte("a"), Val: []byte("v")}}, Participants: []int{0, 1},
 				Status: wire.StatusPrepared,
 			}
 			learn(t, m, rec)

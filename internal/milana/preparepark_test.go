@@ -126,7 +126,7 @@ func TestPreparePark(t *testing.T) {
 			m.SetMetrics(reg)
 			holder := wire.PrepareRequest{
 				ID: wire.TxnID{Client: 1, Seq: 1}, CommitTs: ts(c.holderTs),
-				WriteSet: []wire.KV{{Key: key, Val: []byte("holder")}}, Participants: []int{0},
+				WriteSet: []wire.KV{{Key: key, Val: []byte("holder")}}, Participants: []int{0, 1},
 			}
 			if resp, err := m.Prepare(context.Background(), holder); err != nil || !resp.OK {
 				t.Fatalf("holder prepare: %+v %v", resp, err)

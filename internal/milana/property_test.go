@@ -122,7 +122,7 @@ func TestValidationSerializabilityProperty(t *testing.T) {
 						CommitTs:     tick(),
 						ReadSet:      reads,
 						WriteSet:     writes,
-						Participants: []int{0},
+						Participants: []int{0, 1}, // decided later, by the loop
 					}
 					resp, err := m.Prepare(ctx, req)
 					if err != nil {

@@ -70,7 +70,7 @@ func TestReadPark(t *testing.T) {
 				// the holder and the learned transaction in map order, so
 				// either may hold the key after it; both are decided.
 				if err := m.Learn(context.Background(), wire.TxnRecord{ID: rearmID, CommitTs: ts(120),
-					WriteSet: []wire.KV{{Key: key, Val: []byte("rearmed")}}, Participants: []int{0},
+					WriteSet: []wire.KV{{Key: key, Val: []byte("rearmed")}}, Participants: []int{0, 1},
 					Status: wire.StatusPrepared}); err != nil {
 					t.Fatal(err)
 				}

@@ -334,16 +334,25 @@ const replicationSendTimeout = 30 * time.Second
 // Figure 5, with the primary's own copy counting toward the f+1. The local
 // append and the backup fan-out run concurrently, and Persist returns once
 // both have landed: one device wait on the critical path, not two in series.
-// A failed local append is reported wrapped in milana.ErrNotLogged, whatever
-// the fan-out did; any other error means the record is in the local log but
-// did not reach f backups. Remaining deliveries continue in the background.
+// When nothing could be sent (a deposed primary, an expired deadline, a
+// directory error) the error wraps milana.ErrNotSent, and a prepare is not
+// logged: its caller aborts it, and a logged prepare with one participant
+// would replay as a commit. A failed local append is reported wrapped in
+// milana.ErrNotLogged, whatever the fan-out did; any other error means the
+// record is in the local log and was sent but did not reach f backups.
+// Remaining deliveries continue in the background.
 func (s *Server) Persist(ctx context.Context, msg any) error {
 	start := time.Now()
 	f, err := s.sendToBackups(ctx, msg)
+	if err != nil {
+		err = fmt.Errorf("%w: %w", milana.ErrNotSent, err)
+		if _, prepare := msg.(wire.ReplicatePrepare); prepare {
+			return err
+		}
+	}
 	// The local append runs on this goroutine while the sends are in flight
-	// — even when nothing could be sent (a deposed primary, an expired
-	// deadline): the caller has already applied the record, and its log must
-	// hold it whatever the backups do.
+	// — for a decision even when nothing could be sent: the caller has
+	// already applied it, and its log must hold it whatever the backups do.
 	if lerr := s.logRecord(msg); lerr != nil {
 		return fmt.Errorf("%w: %w", milana.ErrNotLogged, lerr)
 	}

@@ -130,8 +130,10 @@ func (s *Server) recoverFromWAL() error {
 		}
 		s.granted = ck.LeaseExpiry
 		if !ck.Watermark.IsZero() {
-			// Seed the backend's GC floor directly; the tracker refills from
-			// live client reports (a recovered report would pin the minimum).
+			// The backend prunes by the tracker's watermark, so both rise to
+			// the checkpoint's; the tracker's client reports refill from live
+			// clients (a recovered report would pin the minimum).
+			s.wm.Raise(ck.Watermark)
 			s.opt.Backend.SetWatermark(ck.Watermark)
 		}
 	}

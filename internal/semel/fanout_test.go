@@ -292,7 +292,7 @@ func TestPersistOverlapsLocalLog(t *testing.T) {
 				// Far above the read floor the log's cold start sets.
 				commitTs := clock.Timestamp{Ticks: int64(time.Hour), Client: 1}
 				var req any = wire.PrepareRequest{
-					ID: id, CommitTs: commitTs, Participants: []int{0},
+					ID: id, CommitTs: commitTs, Participants: []int{0, 1},
 					WriteSet: []wire.KV{{Key: []byte("k"), Val: []byte("v")}},
 				}
 				deliveries := 1

@@ -37,13 +37,14 @@ func TestMultiGetMatchesPerKeyGets(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	// Hold "p" under a prepared transaction that never decides.
+	// Hold "p" under a prepared transaction that never decides: its second
+	// participant never votes.
 	commitTs := cl.Clock().Now()
 	resp, err := c.Bus.Call(ctx, primary, wire.PrepareRequest{
 		ID:           wire.TxnID{Client: 7, Seq: 1},
 		CommitTs:     commitTs,
 		WriteSet:     []wire.KV{{Key: []byte("p"), Val: []byte("pending")}},
-		Participants: []int{0},
+		Participants: []int{0, 1},
 	})
 	if err != nil || !resp.(wire.PrepareResponse).OK {
 		t.Fatalf("prepare: %+v %v", resp, err)

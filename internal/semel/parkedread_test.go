@@ -30,7 +30,8 @@ var (
 
 // newParkedReadServer builds the lone replica of a one-replica shard with
 // parkKey committed as "old" and then held by a transaction prepared to
-// write "new" at pendingTs, which nothing decides.
+// write "new" at pendingTs with a second participant, so that nothing
+// decides it.
 func newParkedReadServer(t *testing.T) *Server {
 	t.Helper()
 	dir, err := cluster.New([]cluster.ReplicaSet{{Primary: "p"}})
@@ -52,7 +53,7 @@ func newParkedReadServer(t *testing.T) *Server {
 		t.Fatal(err)
 	}
 	resp, err := srv.Serve(ctx, wire.PrepareRequest{
-		ID: pendingID, CommitTs: pendingTs, Participants: []int{0},
+		ID: pendingID, CommitTs: pendingTs, Participants: []int{0, 1},
 		WriteSet: []wire.KV{{Key: parkKey, Val: []byte("new")}},
 	})
 	if err != nil || !resp.(wire.PrepareResponse).OK {
@@ -165,7 +166,7 @@ func TestParkedReadBounded(t *testing.T) {
 		keys := [][]byte{parkKey, []byte("k2"), []byte("k3")}
 		for i, key := range keys[1:] {
 			resp, err := srv.Serve(context.Background(), wire.PrepareRequest{
-				ID: wire.TxnID{Client: 1, Seq: uint64(2 + i)}, CommitTs: pendingTs, Participants: []int{0},
+				ID: wire.TxnID{Client: 1, Seq: uint64(2 + i)}, CommitTs: pendingTs, Participants: []int{0, 1},
 				WriteSet: []wire.KV{{Key: key, Val: []byte("new")}},
 			})
 			if err != nil || !resp.(wire.PrepareResponse).OK {

@@ -275,6 +275,7 @@ func (s *Server) Close() {
 	close(s.stop)
 	s.mu.Unlock()
 	s.senders.Close()
+	s.mgr.Close()
 	s.repl.close()
 	s.wg.Wait()
 }
@@ -522,6 +523,9 @@ func (s *Server) handleGet(ctx context.Context, r wire.GetRequest) (wire.GetResp
 	readStart := time.Now()
 	resp, err := s.readVersion(r.Key, r.At, prepared[0])
 	obs.AttributeStage(ctx, obs.StageFlashRead, time.Since(readStart))
+	if err == nil && s.pruned(r.At) {
+		resp = wire.GetResponse{SnapshotMiss: true}
+	}
 	return resp, err
 }
 
@@ -548,6 +552,11 @@ func (s *Server) handleMultiGet(ctx context.Context, r wire.MultiGetRequest) (wi
 	obs.AttributeStage(ctx, obs.StageFlashRead, time.Since(readStart))
 	if err != nil {
 		return wire.MultiGetResponse{}, err
+	}
+	if s.pruned(r.At) {
+		for i := range items {
+			items[i] = wire.GetResponse{SnapshotMiss: true}
+		}
 	}
 	return wire.MultiGetResponse{Items: items}, nil
 }
@@ -580,6 +589,15 @@ func (s *Server) readVersion(key []byte, at clock.Timestamp, prepared bool) (wir
 		return wire.GetResponse{}, err
 	}
 	return wire.GetResponse{Val: val, Version: ver, Found: found, PreparedAtOrBefore: prepared}, nil
+}
+
+// pruned reports whether a snapshot read at `at` that has already read the
+// backend may have missed a version: below the watermark the backend keeps
+// only each key's youngest version, so such a read can find a key absent or
+// stale. It is asked after the read: the watermark only rises, and one read
+// before could pass and then see the version pruned under it.
+func (s *Server) pruned(at clock.Timestamp) bool {
+	return at.Before(s.wm.Watermark())
 }
 
 // handlePut is the linearizable single-key write of §3.3: writes with
@@ -653,10 +671,14 @@ func (s *Server) handlePrepare(ctx context.Context, r wire.PrepareRequest) (wire
 		obs.AttributeStage(ctx, obs.StageCommitWait, waited)
 	}
 	// The manager persists the prepared record — local log and backups
-	// together, through Persist — before it votes.
+	// together, through Persist — before it votes. With one participant the
+	// YES vote is the commit.
 	resp, err := s.mgr.Prepare(ctx, r)
-	if err == nil && !resp.OK {
+	switch {
+	case err == nil && !resp.OK:
 		s.stats.aborts.Add(1)
+	case err == nil && len(r.Participants) <= 1:
+		s.stats.commits.Add(1)
 	}
 	return resp, err
 }
@@ -684,7 +706,9 @@ func (s *Server) handleStatus(_ context.Context, r wire.StatusRequest) (wire.Sta
 	return wire.StatusResponse{Status: s.mgr.Status(r.ID)}, nil
 }
 
-// handleReplicatePrepare stores a prepared record on a backup.
+// handleReplicatePrepare stores a prepared record on a backup; one with a
+// single participant is its commit (see milana.Manager.Learn), and on a
+// blocking backend its write set is applied after the ack.
 func (s *Server) handleReplicatePrepare(ctx context.Context, r wire.ReplicatePrepare) (wire.Ack, error) {
 	if err := s.mgr.Learn(ctx, r.Record); err != nil {
 		return wire.Ack{}, err
@@ -755,7 +779,8 @@ func (s *Server) handleReplicateData(_ context.Context, r wire.ReplicateData) (a
 }
 
 // handleWatermark folds a client's decided-timestamp report into the local
-// watermark and passes it to the backend's garbage collector (§3.1, §4.4).
+// watermark and passes it to the backend's garbage collector (§3.1, §4.4):
+// the tracker's watermark is the one the backend prunes by.
 func (s *Server) handleWatermark(_ context.Context, r wire.WatermarkBroadcast) (wire.Ack, error) {
 	s.wm.Report(r.Client, r.Ts)
 	if w := s.wm.Watermark(); !w.IsZero() {

@@ -124,7 +124,8 @@ func TestTCPStageAccountingIdentity(t *testing.T) {
 			// Both halves of the wire contributed: the client's own codec
 			// and network measurements, and the server-side waits that only
 			// a response-frame delta block could have delivered (validate
-			// from prepares, flash-program from the synchronous decisions).
+			// from prepares, flash-program from the commit each single-shard
+			// prepare applies inline on DRAM before it answers).
 			for _, stage := range []string{"encode", "decode", "network", "validate", "flash-program"} {
 				h := snap.Hists[obs.WithLabel("milana_stage_ledger_ns", "stage", stage)]
 				if h.Count == 0 {

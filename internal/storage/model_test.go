@@ -177,3 +177,49 @@ func runModel(t *testing.T, b Backend, seed int64) {
 		}
 	}
 }
+
+// TestReadBelowWatermarkTable pins down the retention rule reads rely on, for
+// every multi-version backend: a key holds versions 10 and 22, the watermark
+// rises to 25, and "pruned" writes version 30, which prunes the key. At or
+// above the watermark a read is exact either way. Below it a read is exact
+// only until the key is pruned: then version 10 is gone and a read at 20
+// finds the key absent — why a server answers every read below its watermark
+// with a snapshot miss.
+func TestReadBelowWatermarkTable(t *testing.T) {
+	at := func(ticks int64) clock.Timestamp { return clock.Timestamp{Ticks: ticks, Client: 1} }
+	key := []byte("k")
+	for _, pruned := range []bool{false, true} {
+		for _, read := range []struct {
+			name  string
+			at    int64
+			found bool
+			ver   int64
+		}{
+			{"below", 20, !pruned, 10},
+			{"above", 26, true, 22},
+		} {
+			for name, b := range newModelBackends(t) {
+				t.Run(fmt.Sprintf("%s/pruned=%v/%s", name, pruned, read.name), func(t *testing.T) {
+					for _, ver := range []int64{10, 22} {
+						if err := b.Put(key, []byte(fmt.Sprint(ver)), at(ver)); err != nil {
+							t.Fatal(err)
+						}
+					}
+					b.SetWatermark(at(25))
+					if pruned {
+						if err := b.Put(key, []byte("30"), at(30)); err != nil {
+							t.Fatal(err)
+						}
+					}
+					val, ver, found, err := b.Get(key, at(read.at))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if found != read.found || found && (ver != at(read.ver) || string(val) != fmt.Sprint(read.ver)) {
+						t.Fatalf("read at %d: %q@%v found=%v; want found=%v at %d", read.at, val, ver, found, read.found, read.ver)
+					}
+				})
+			}
+		}
+	}
+}
