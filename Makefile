@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race check cover nogob onecarrier oneroute onepark onechaos audit stress overload crash overhead benchall
+.PHONY: all build vet test race check cover nogob onecarrier oneroute onepark onechaos onedriver audit stress overload crash overhead benchall
 
 all: check
 
@@ -78,6 +78,15 @@ onechaos:
 	if [ -n "$$bad" ]; then echo "onechaos: faults.NewChaos outside internal/core/chaos_test.go in:"; echo "$$bad"; exit 1; fi; \
 	echo "onechaos: ok"
 
+# onedriver keeps one Retwis closed loop: retwis.NewGenerator may appear in
+# tests and inside internal/retwis, whose Run gives every session its
+# generator, and in no other Go file that ships under internal/, cmd/ or
+# examples/ — so a copied closed loop cannot grow back unnoticed.
+onedriver:
+	@bad=$$(grep -rlF --include='*.go' 'retwis.NewGenerator(' internal cmd examples | grep -v '_test\.go$$' | grep -v '^internal/retwis/'); \
+	if [ -n "$$bad" ]; then echo "onedriver: retwis.NewGenerator outside internal/retwis in:"; echo "$$bad"; exit 1; fi; \
+	echo "onedriver: ok"
+
 # audit runs the online-audit gate under the race detector: chaos runs with
 # the streaming auditor attached must stay silent (zero convictions, zero
 # ε violations), a mutated cluster must be convicted online, the streaming
@@ -93,8 +102,8 @@ audit:
 # audit suite), hold the coverage floor, survive the crash/durability gate,
 # keep encoding/gob out of everything that ships, keep the request record
 # the only context value, keep request classes out of internal/resilience,
-# keep the wait on a prepared mark inside internal/milana, and keep one
-# chaos driver in internal/core's tests.
+# keep the wait on a prepared mark inside internal/milana, keep one
+# chaos driver in internal/core's tests, and keep one Retwis closed loop.
 check:
 	$(GO) build ./...
 	$(GO) vet ./...
@@ -103,6 +112,7 @@ check:
 	$(MAKE) oneroute
 	$(MAKE) onepark
 	$(MAKE) onechaos
+	$(MAKE) onedriver
 	$(GO) test -race ./...
 	$(MAKE) cover
 	$(MAKE) crash

@@ -101,6 +101,23 @@ func TestSystemSourceMonotonic(t *testing.T) {
 	}
 }
 
+// TestSystemSourceSharedEpoch checks that sources created at different
+// times, as in separate processes, stamp on one epoch: a source created
+// later never reads below one created earlier.
+func TestSystemSourceSharedEpoch(t *testing.T) {
+	for i := 0; i < 100; i++ {
+		early := NewSystemSource()
+		time.Sleep(10 * time.Microsecond)
+		before := early.Now()
+		if later := NewSystemSource().Now(); later < before {
+			t.Fatalf("round %d: a later source reads %d, below an earlier one's %d", i, later, before)
+		}
+	}
+	if d := time.Duration(NewSystemSource().Now() - time.Now().UnixNano()); d < -time.Second || d > time.Second {
+		t.Fatalf("system source is %v away from the Unix epoch's time", d)
+	}
+}
+
 func TestPerfectClockMonotonic(t *testing.T) {
 	src := NewManualSource(100)
 	c := NewPerfect(src, 3)

@@ -5,26 +5,36 @@ import (
 	"time"
 )
 
-// Source is a reference ("true") time base, in nanoseconds since an
-// arbitrary epoch. It must be monotonic. All client clocks in a deployment
-// derive from one Source; the skew they exhibit relative to each other is
-// what the synchronization profiles model.
+// Source is a reference ("true") time base, in nanoseconds since an epoch
+// shared by every clock of a deployment. It must be monotonic. All client
+// clocks in a deployment derive from one Source (or, across processes, from
+// Sources on the same epoch); the skew they exhibit relative to each other
+// is what the synchronization profiles model.
 type Source interface {
 	Now() int64
 }
 
-// SystemSource reads the process monotonic clock. It is the Source used in
-// benchmarks and real deployments.
+// SystemSource reads the host's clock: nanoseconds since the Unix epoch at
+// the source's creation, advanced by the process monotonic clock. It is the
+// Source used in benchmarks and real deployments. Every process on
+// synchronized hosts shares its epoch, as the paper's disciplined clocks do,
+// so timestamps from separate processes compare; within a process it never
+// goes backwards, even if the wall clock is stepped.
 type SystemSource struct {
 	start time.Time
+	unix  int64 // start.UnixNano()
 }
 
-// NewSystemSource returns a SystemSource whose epoch is the moment of the
-// call.
-func NewSystemSource() *SystemSource { return &SystemSource{start: time.Now()} }
+// NewSystemSource returns a SystemSource anchored at the current wall-clock
+// time.
+func NewSystemSource() *SystemSource {
+	now := time.Now()
+	return &SystemSource{start: now, unix: now.UnixNano()}
+}
 
-// Now returns nanoseconds of monotonic time since the source was created.
-func (s *SystemSource) Now() int64 { return int64(time.Since(s.start)) }
+// Now returns nanoseconds since the Unix epoch: the wall-clock time of the
+// source's creation plus the monotonic time elapsed since.
+func (s *SystemSource) Now() int64 { return s.unix + int64(time.Since(s.start)) }
 
 // ManualSource is a Source advanced explicitly by tests. The zero value is
 // ready to use and starts at time 1 (so produced timestamps are never the

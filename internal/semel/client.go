@@ -157,22 +157,6 @@ func (c *Client) Delete(ctx context.Context, key []byte) error {
 	return nil
 }
 
-// BroadcastWatermark reports ts as this client's latest acknowledged
-// operation to every replica of every shard (§3.1). Failed deliveries are
-// ignored; watermarks are monotone and a later broadcast catches up.
-func (c *Client) BroadcastWatermark(ctx context.Context, ts clock.Timestamp) {
-	msg := wire.WatermarkBroadcast{Client: c.ID(), Ts: ts}
-	for i := 0; i < c.dir.NumShards(); i++ {
-		rs, err := c.dir.Shard(cluster.ShardID(i))
-		if err != nil {
-			continue
-		}
-		for _, addr := range rs.Replicas() {
-			_, _ = c.net.Call(ctx, addr, msg)
-		}
-	}
-}
-
 // MultiGet reads several keys in one round trip per shard, all at the same
 // snapshot timestamp. Results are keyed by the input key strings; missing
 // keys are absent from the map.

@@ -289,8 +289,9 @@ func TestPersistOverlapsLocalLog(t *testing.T) {
 				srv, _ := newLoggedReplica(t, "p", net, nil, w)
 				ctx := context.Background()
 				id := wire.TxnID{Client: 1, Seq: 1}
-				// Far above the read floor the log's cold start sets.
-				commitTs := clock.Timestamp{Ticks: int64(time.Hour), Client: 1}
+				// An hour past the replica's clock: far above the read
+				// floor the log's cold start sets.
+				commitTs := clock.Timestamp{Ticks: clock.NewSystemSource().Now() + int64(time.Hour), Client: 1}
 				var req any = wire.PrepareRequest{
 					ID: id, CommitTs: commitTs, Participants: []int{0, 1},
 					WriteSet: []wire.KV{{Key: []byte("k"), Val: []byte("v")}},

@@ -6,8 +6,11 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/semel"
+	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
@@ -99,6 +102,24 @@ func TestUnknownRequestType(t *testing.T) {
 	}
 }
 
+// reportWatermark sends one client's watermark report to every replica of
+// every shard, as milana.Client.BroadcastWatermark does, and fails the test
+// on any error.
+func reportWatermark(t *testing.T, ctx context.Context, net transport.Client, dir *cluster.Directory, client uint32, ts clock.Timestamp) {
+	t.Helper()
+	for i := 0; i < dir.NumShards(); i++ {
+		rs, err := dir.Shard(cluster.ShardID(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, addr := range rs.Replicas() {
+			if _, err := net.Call(ctx, addr, wire.WatermarkBroadcast{Client: client, Ts: ts}); err != nil {
+				t.Fatalf("watermark report to %s: %v", addr, err)
+			}
+		}
+	}
+}
+
 func TestWatermarkFlowsToBackends(t *testing.T) {
 	c := newCluster(t, core.ClusterOptions{Shards: 2, Replicas: 3, Backend: core.BackendMFTL, PackTimeout: -1, LeaseDuration: -1})
 	ctx := context.Background()
@@ -109,11 +130,17 @@ func TestWatermarkFlowsToBackends(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	cl.BroadcastWatermark(ctx, cl.Clock().Now())
-	// A second client's broadcast doesn't lower anything (min rule), and
-	// all replicas received both reports without error.
-	cl2 := c.NewSemelClient(2)
-	cl2.BroadcastWatermark(ctx, cl2.Clock().Now())
+	low := cl.Clock().Now()
+	reportWatermark(t, ctx, c.Bus, c.Dir, 1, low)
+	// A second client's later report raises nothing (min rule).
+	reportWatermark(t, ctx, c.Bus, c.Dir, 2, c.NewSemelClient(2).Clock().Now())
+	for s := 0; s < 2; s++ {
+		for r := 0; r < 3; r++ {
+			if w := c.Server(core.Addr(s, r)).Watermark(); w != low {
+				t.Fatalf("replica %s watermark %v, want the lower report %v", core.Addr(s, r), w, low)
+			}
+		}
+	}
 	val, _, found, err := cl.Get(ctx, []byte("hot"))
 	if err != nil || !found || val[0] != 3 {
 		t.Fatalf("latest lost after watermark GC: %v %v %v", val, found, err)

@@ -8,6 +8,7 @@ import (
 	"repro/internal/clock"
 	"repro/internal/milana"
 	"repro/internal/semel"
+	"repro/internal/wire"
 )
 
 // TestTCPEndToEnd drives the full SEMEL + MILANA protocol over real TCP
@@ -64,6 +65,20 @@ func TestTCPEndToEnd(t *testing.T) {
 	if st := txc.Stats(); st.LocalValidated != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
-	// Watermark broadcast reaches all three replicas without error.
-	kv.BroadcastWatermark(ctx, kv.Clock().Now())
+	// A watermark report reaches all three replicas.
+	wm := kv.Clock().Now()
+	reportWatermark(t, ctx, net, dir, kv.ID(), wm)
+	rs, err := dir.Shard(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, addr := range rs.Replicas() {
+		resp, err := net.Call(ctx, addr, wire.StatsRequest{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w := resp.(wire.StatsResponse).Watermark; w != wm {
+			t.Fatalf("replica %s watermark %v, want %v", addr, w, wm)
+		}
+	}
 }

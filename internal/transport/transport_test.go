@@ -217,26 +217,44 @@ func TestTCPRemoteError(t *testing.T) {
 	}
 }
 
+// TestTCPConcurrentCalls checks that calls over one multiplexed connection
+// are served concurrently. The handlers form a rendezvous: none returns
+// until all 32 calls are inside one at once, which a connection that
+// serialized them, even only partly, never reaches. A handler still waiting
+// after 10 s fails its call.
 func TestTCPConcurrentCalls(t *testing.T) {
-	slowEcho := HandlerFunc(func(ctx context.Context, req any) (any, error) {
-		time.Sleep(time.Millisecond)
+	const calls = 32
+	var inside atomic.Int32
+	all := make(chan struct{})
+	rendezvous := HandlerFunc(func(ctx context.Context, req any) (any, error) {
+		if inside.Add(1) == calls {
+			close(all)
+		}
+		select {
+		case <-all:
+		case <-time.After(10 * time.Second):
+			return nil, fmt.Errorf("calls serialized: only %d of %d ever in flight at once", inside.Load(), calls)
+		}
 		return echoResp{Msg: "echo:" + req.(echoReq).Msg}, nil
 	})
-	srv, err := NewTCPServer("127.0.0.1:0", slowEcho)
+	srv, err := NewTCPServer("127.0.0.1:0", rendezvous)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
 	cli := NewTCPClient()
 	defer cli.Close()
+	// Outlast the handlers' bound, so a serialized run fails with their
+	// error rather than the client's default call timeout.
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
 	var wg sync.WaitGroup
-	start := time.Now()
-	for i := 0; i < 32; i++ {
+	for i := 0; i < calls; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			msg := fmt.Sprintf("c%d", i)
-			resp, err := cli.Call(context.Background(), srv.Addr(), echoReq{Msg: msg})
+			resp, err := cli.Call(ctx, srv.Addr(), echoReq{Msg: msg})
 			if err != nil {
 				t.Errorf("call %d: %v", i, err)
 				return
@@ -247,11 +265,6 @@ func TestTCPConcurrentCalls(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	// 32 calls at 1 ms handler latency over one multiplexed connection
-	// should overlap, not serialize (32 ms serial).
-	if elapsed := time.Since(start); elapsed > 25*time.Millisecond {
-		t.Fatalf("calls appear serialized: %v", elapsed)
-	}
 }
 
 func TestTCPServerClose(t *testing.T) {
