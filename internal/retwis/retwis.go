@@ -99,6 +99,10 @@ func (z *zipf) sample(r *rand.Rand) int {
 	return sort.SearchFloat64s(z.cum, u)
 }
 
+// DefaultValueSize is the payload size, in bytes, of a value that Populate
+// writes and that a Generator writes when Options.ValueSize is unset.
+const DefaultValueSize = 64
+
 // Options configures a Generator.
 type Options struct {
 	// Users is the pre-populated user count.
@@ -107,8 +111,9 @@ type Options struct {
 	Alpha float64
 	// Mix is the transaction mix; zero value means DefaultMix.
 	Mix Mix
-	// ValueSize is the payload size of written values (default 64; the
-	// paper's device experiments use 512-byte tuples).
+	// ValueSize is the payload size of written values (default
+	// DefaultValueSize; the paper's device experiments use 512-byte
+	// tuples).
 	ValueSize int
 	// Seed makes the stream reproducible.
 	Seed int64
@@ -137,7 +142,7 @@ func NewGenerator(opt Options) *Generator {
 		opt.Mix = DefaultMix
 	}
 	if opt.ValueSize <= 0 {
-		opt.ValueSize = 64
+		opt.ValueSize = DefaultValueSize
 	}
 	if opt.FreshUserBase == 0 {
 		opt.FreshUserBase = opt.Users
