@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race check cover nogob onecarrier oneroute onepark onechaos onedriver audit stress overload crash overhead benchall
+.PHONY: all build vet test race check cover fmt nogob onecarrier oneroute oneretry onepark onechaos onedriver audit stress overload crash overhead benchall
 
 all: check
 
@@ -29,6 +29,13 @@ cover:
 	echo "coverage: $$total% (floor $(COVER_MIN)%)"; \
 	awk -v t="$$total" -v min=$(COVER_MIN) 'BEGIN { exit (t+0 < min) ? 1 : 0 }' || \
 		{ echo "coverage $$total% below floor $(COVER_MIN)%"; exit 1; }
+
+# fmt keeps the Go sources gofmt-clean: it fails if gofmt would rewrite any
+# file under internal/, cmd/ or examples/, and names the files.
+fmt:
+	@bad=$$(gofmt -l internal cmd examples); \
+	if [ -n "$$bad" ]; then echo "fmt: not gofmt-formatted:"; echo "$$bad"; exit 1; fi; \
+	echo "fmt: ok"
 
 # nogob keeps the TCP transport at one wire format: encoding/gob may appear in
 # tests (as the codec's independent oracle), but nothing that ships — any
@@ -59,6 +66,17 @@ oneroute:
 	@bad=$$($(GO) list -f '{{.ImportPath}}: {{join .Imports " "}}' $(ONEROUTE_PKGS) | grep -E ' repro/internal/wire( |$$)' | cut -d: -f1); \
 	if [ -n "$$bad" ]; then echo "oneroute: repro/internal/wire imported outside tests by:"; echo "$$bad"; exit 1; fi; \
 	echo "oneroute: ok"
+
+# oneretry keeps one client retry rule — RunTransaction retries a conflict
+# abort at once and returns every other error, a shed included: no package
+# that ships under internal/milana may import repro/internal/resilience, so a
+# second client retry policy (backoff, budget, breaker) cannot grow back
+# unnoticed. go list's .Imports leaves test-only imports out.
+ONERETRY_PKGS = ./internal/milana/...
+oneretry:
+	@bad=$$($(GO) list -f '{{.ImportPath}}: {{join .Imports " "}}' $(ONERETRY_PKGS) | grep -E ' repro/internal/resilience( |$$)' | cut -d: -f1); \
+	if [ -n "$$bad" ]; then echo "oneretry: repro/internal/resilience imported outside tests by:"; echo "$$bad"; exit 1; fi; \
+	echo "oneretry: ok"
 
 # onepark keeps milana.Manager the only code that waits on a prepared mark:
 # DecisionWait, the bound every such wait shares, may appear in tests and
@@ -96,20 +114,23 @@ audit:
 	CHAOS_SEED=$(CHAOS_SEED) CHAOS_ROUNDS=$(CHAOS_ROUNDS) \
 		$(GO) test -race -timeout 30m -run 'TestAudit' -v ./internal/core/ ./internal/audit/
 
-# check is the PR verify gate: everything must build, vet clean, pass the
-# full test suite under the race detector (which includes a small
-# 2-seed × 3-profile chaos sweep via TestStressChaosSweep and the online
-# audit suite), hold the coverage floor, survive the crash/durability gate,
-# keep encoding/gob out of everything that ships, keep the request record
-# the only context value, keep request classes out of internal/resilience,
-# keep the wait on a prepared mark inside internal/milana, keep one
-# chaos driver in internal/core's tests, and keep one Retwis closed loop.
+# check is the PR verify gate: everything must build, vet clean, be
+# gofmt-clean, pass the full test suite under the race detector (which
+# includes a small 2-seed × 3-profile chaos sweep via TestStressChaosSweep
+# and the online audit suite), hold the coverage floor, survive the
+# crash/durability gate, keep encoding/gob out of everything that ships,
+# keep the request record the only context value, keep request classes out
+# of internal/resilience, keep one client retry rule in internal/milana,
+# keep the wait on a prepared mark inside internal/milana, keep one chaos
+# driver in internal/core's tests, and keep one Retwis closed loop.
 check:
 	$(GO) build ./...
 	$(GO) vet ./...
+	$(MAKE) fmt
 	$(MAKE) nogob
 	$(MAKE) onecarrier
 	$(MAKE) oneroute
+	$(MAKE) oneretry
 	$(MAKE) onepark
 	$(MAKE) onechaos
 	$(MAKE) onedriver
@@ -130,14 +151,14 @@ stress:
 		$(GO) test -race -timeout 30m -run 'TestStress|TestAudit|TestResilienceChaosAudit' -v ./internal/core/
 	$(MAKE) overload
 
-# overload is the graceful-degradation gate: a 4× open-loop overload against
-# a cluster with one deliberately degraded replica must keep goodput at or
-# above 70% of the pre-overload baseline, with admission control shedding
-# reads before prepares and never shedding control traffic, and the circuit
-# breakers must close again once the overload stops.
+# overload is the graceful-degradation gate: a 4× closed-loop overload
+# against a cluster with one deliberately degraded replica must keep goodput
+# at or above 70% of the pre-overload baseline, with admission control
+# shedding reads before prepares, answering every shed with a RetryAfter
+# hint, and never shedding control traffic.
 overload:
 	OVERLOAD_GATE=1 $(GO) test -race -timeout 10m -count=1 \
-		-run 'TestOverloadGoodputCurve|TestBreakerRecovery' -v ./internal/core/
+		-run 'TestOverloadGoodputCurve' -v ./internal/core/
 
 # crash is the durability gate: the whole internal/wal suite under -race —
 # crash-point sweeps at every byte boundary, torn tails, flipped bits, and
@@ -159,9 +180,8 @@ crash:
 # overhead runs the three wall-clock overhead gates: the per-txn stage ledger
 # plus a live tsdb sampler must cost < 3% of bus transaction throughput
 # versus a fully disabled cluster, the WAL's log-before-ack path must keep at
-# least 20% of the WAL-off transaction throughput, and the idle resilience
-# layer (admission + breakers + retry budget) must account to < 2%
-# of a bus transaction. The repository benchmark (bash benchmark/run.sh, see
+# least 20% of the WAL-off transaction throughput, and idle admission
+# control on every server must account to < 2% of a bus transaction. The repository benchmark (bash benchmark/run.sh, see
 # BENCHMARK.json) is the instrument for end-to-end performance.
 overhead:
 	OBS_OVERHEAD_GATE=1 $(GO) test -count=1 -run TestStageOverheadGate -v ./internal/core/

@@ -46,10 +46,10 @@ type Artifact struct {
 
 	// ε-violation fields: the offending transaction, its commit timestamp,
 	// the bound it was checked against, and the (negative) margin.
-	TxnID    wire.TxnID    `json:"txn_id,omitempty"`
+	TxnID    wire.TxnID      `json:"txn_id,omitempty"`
 	CommitTs clock.Timestamp `json:"commit_ts,omitempty"`
-	Epsilon  time.Duration `json:"epsilon_ns,omitempty"`
-	MarginNs int64         `json:"margin_ns,omitempty"`
+	Epsilon  time.Duration   `json:"epsilon_ns,omitempty"`
+	MarginNs int64           `json:"margin_ns,omitempty"`
 
 	// Watchdog-alert fields: which rule convicted which series, the value
 	// that fired, and the threshold it crossed.

@@ -111,11 +111,11 @@ type bankChaos struct {
 	kill    bool
 	maxSlow time.Duration
 	// wal gives every replica a write-ahead log; audit attaches the
-	// streaming auditor, its ε widened by chaosEpsilon; resilience turns on
-	// the resilience layer.
-	wal        bool
-	audit      bool
-	resilience *resilience.Options
+	// streaming auditor, its ε widened by chaosEpsilon; admission gives
+	// every server an admission controller.
+	wal       bool
+	audit     bool
+	admission *resilience.AdmissionOptions
 	// watermarks makes clients broadcast their watermarks: setup once
 	// funded, every worker after each 10th transfer and on exit, the
 	// auditor once settled.
@@ -142,11 +142,7 @@ type bankRun struct {
 	auditor *milana.Client   // the settling client; nil without settle
 
 	transfers, unknowns atomic.Int64
-	// fresh counts RunTransaction calls (one retry-budget deposit each),
-	// clients the clients built (one burst allowance each): together they
-	// bound every retry the resilience layer may make.
-	fresh, clients atomic.Int64
-	acked          [bankWorkers]atomic.Int64 // last acknowledged receipt
+	acked               [bankWorkers]atomic.Int64 // last acknowledged receipt
 
 	killMu sync.Mutex
 	kills  map[string]int
@@ -162,7 +158,7 @@ func runBankChaos(t *testing.T, cfg bankChaos) *bankRun {
 		LeaseDuration:   40 * time.Millisecond,
 		PreparedTimeout: 150 * time.Millisecond,
 		Seed:            cfg.seed,
-		Resilience:      cfg.resilience,
+		Admission:       cfg.admission,
 	}
 	if cfg.faults {
 		r.in = faults.New(faults.Options{
@@ -192,7 +188,6 @@ func runBankChaos(t *testing.T, cfg bankChaos) *bankRun {
 	if r.in != nil {
 		r.in.SetEnabled(false)
 	}
-	r.fresh.Add(1)
 	if err := setup.RunTransaction(ctx, fund(bankAccounts)); err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +231,6 @@ func runBankChaos(t *testing.T, cfg bankChaos) *bankRun {
 
 // client builds a transaction client that records into the run's history.
 func (r *bankRun) client(id uint32) *milana.Client {
-	r.clients.Add(1)
 	txc := r.c.NewTxnClient(id)
 	txc.SetHistory(r.hist)
 	return txc
@@ -253,7 +247,6 @@ func (r *bankRun) work(ctx context.Context, w int, stop *atomic.Bool) {
 		}
 		wrote := false
 		tctx, cancel := context.WithTimeout(ctx, time.Second)
-		r.fresh.Add(1)
 		err := txc.RunTransaction(tctx, func(tx *milana.Txn) (err error) {
 			wrote, err = transfer(tctx, tx, from, to)
 			if err != nil || !wrote || !r.cfg.receipts {
@@ -349,7 +342,6 @@ func (r *bankRun) settle(ctx context.Context) {
 	for {
 		total := 0
 		actx, cancel := context.WithTimeout(ctx, 2*time.Second)
-		r.fresh.Add(1)
 		err := r.auditor.RunTransaction(actx, func(tx *milana.Txn) (err error) {
 			total, err = bankTotal(actx, tx, bankAccounts)
 			return err

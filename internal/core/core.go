@@ -116,14 +116,11 @@ type ClusterOptions struct {
 	// CheckpointEvery is passed to every server (see
 	// semel.ServerOptions.CheckpointEvery). Only meaningful with WALRoot.
 	CheckpointEvery int
-	// Resilience, when set, threads the overload/gray-failure survival kit
-	// through the cluster: every server gets an admission controller
-	// (priority load shedding + RetryAfter pushback), and every transaction
-	// client NewTxnClient builds gets a budgeted retry policy (one token
-	// bucket per client) and per-endpoint circuit breakers, with metrics in
-	// the cluster registry (Obs) for clients and each server's own registry
-	// for admission. Nil disables the whole layer (the seed behavior).
-	Resilience *resilience.Options
+	// Admission, when set, gives every server an admission controller
+	// (priority load shedding + RetryAfter pushback, as semeld
+	// -admission-max-inflight does), with its metrics in the server's own
+	// registry. Nil admits everything (the seed behavior).
+	Admission *resilience.AdmissionOptions
 }
 
 // Cluster is an embedded SEMEL/MILANA deployment.
@@ -292,8 +289,7 @@ func (c *Cluster) startServer(addr string, slot *replicaSlot, primary bool) erro
 	}
 	var w *wal.WAL
 	var reg *obs.Registry
-	admissionOn := c.opt.Resilience != nil
-	if slot.walDir != "" || admissionOn {
+	if slot.walDir != "" || c.opt.Admission != nil {
 		reg = obs.NewRegistry()
 	}
 	if slot.walDir != "" {
@@ -303,8 +299,8 @@ func (c *Cluster) startServer(addr string, slot *replicaSlot, primary bool) erro
 		}
 	}
 	var adm *resilience.Admission
-	if admissionOn {
-		ao := c.opt.Resilience.Admission
+	if c.opt.Admission != nil {
+		ao := *c.opt.Admission
 		if ao.Metrics == nil {
 			ao.Metrics = reg
 		}
@@ -541,37 +537,14 @@ func (c *Cluster) NewSemelClient(id uint32) *semel.Client {
 }
 
 // NewTxnClient builds a transaction client. With auditing enabled the
-// client streams every transaction it finishes into the cluster's auditor;
-// with Resilience set it additionally gets budgeted retries and
-// per-endpoint circuit breakers (the breaker wraps *outside* any fault
-// injector, so injected faults trip it like real ones).
+// client streams every transaction it finishes into the cluster's auditor.
 func (c *Cluster) NewTxnClient(id uint32) *milana.Client {
-	net := c.clientNet(id)
-	ro := c.opt.Resilience
-	if ro != nil {
-		bo := ro.Breaker
-		if bo.Metrics == nil {
-			bo.Metrics = c.Obs
-		}
-		net = resilience.NewBreakerClient(net, bo)
-	}
-	cl := milana.NewClient(c.clientClock(id), net, c.Dir)
+	cl := milana.NewClient(c.clientClock(id), c.clientNet(id), c.Dir)
 	if c.auditor != nil {
 		cl.AddSink(c.auditor)
 	}
 	if c.opt.Stages {
 		cl.EnableStages(c.Obs)
-	}
-	if ro != nil && !ro.NoRetry {
-		retryOpt := ro.Retry
-		if retryOpt.Metrics == nil {
-			retryOpt.Metrics = c.Obs
-		}
-		if retryOpt.Seed == 0 {
-			retryOpt.Seed = c.opt.Seed + int64(id) + 1
-		}
-		budget := resilience.NewBudget(retryOpt.BudgetRatio, retryOpt.BudgetBurst, c.Obs)
-		cl.EnableResilience(resilience.NewRetrier(retryOpt, budget))
 	}
 	return cl
 }
@@ -688,14 +661,6 @@ func (c *Cluster) RestartServer(addr string) error {
 	}
 	c.Bus.SetDown(addr, false)
 	return nil
-}
-
-// WAL returns the live write-ahead log of the replica at addr (nil when
-// durability is off or the replica is currently dead).
-func (c *Cluster) WAL(addr string) *wal.WAL {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.wals[addr]
 }
 
 // Close shuts down the auditor, every server, every WAL, and the bus.

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"os"
 	"sync"
@@ -12,64 +11,40 @@ import (
 
 	"repro/internal/clock"
 	"repro/internal/faults"
-	"repro/internal/milana"
 	"repro/internal/obs"
 	"repro/internal/resilience"
 	"repro/internal/transport"
 )
 
-// TestResilienceChaosAudit is the resilience-enabled chaos matrix: the full
-// stack — budgeted retries, circuit breakers, admission
-// control, propagated deadlines — runs under probabilistic message faults,
+// TestResilienceChaosAudit is the admission-enabled chaos matrix: admission
+// control and propagated deadlines run under probabilistic message faults,
 // structural chaos, amnesia kills, AND gray-failure slow events, across the
 // three clock profiles, with the streaming auditor always on. It demands:
 //
-//	(a) no retry storm: the retry count stays inside the token-bucket
-//	    bound (ratio × fresh + burst × clients), read straight from the
-//	    metrics;
-//	(b) zero serializability convictions and zero ε violations — retrying
-//	    an aborted transaction must never manufacture an anomaly;
-//	(c) money conserved after the dust settles.
+//	(a) zero serializability convictions and zero ε violations — shedding
+//	    and retrying aborted transactions must never manufacture an anomaly;
+//	(b) money conserved after the dust settles.
 func TestResilienceChaosAudit(t *testing.T) {
 	chaosSweep(t, 1, func(t *testing.T, seed int64, p clock.Profile) {
-		const (
-			budgetRatio = 0.1
-			budgetBurst = 10
-		)
 		r := runBankChaos(t, bankChaos{
 			seed: seed, profile: p,
 			faults: true, window: 400 * time.Millisecond,
 			kill: true, maxSlow: 3 * time.Millisecond,
 			wal: true, audit: true,
-			resilience: &resilience.Options{
-				Retry:   resilience.RetryOptions{BudgetRatio: budgetRatio, BudgetBurst: budgetBurst},
-				Breaker: resilience.BreakerOptions{FailureThreshold: 4, Cooldown: 100 * time.Millisecond},
-				Admission: resilience.AdmissionOptions{
-					MaxInflight:   128,
-					MaxQueueDelay: 50 * time.Millisecond,
-				},
+			admission: &resilience.AdmissionOptions{
+				MaxInflight:   128,
+				MaxQueueDelay: 50 * time.Millisecond,
 			},
 			watermarks: true,
-			settle:     15 * time.Second, // (c)
+			settle:     15 * time.Second, // (b)
 		})
 
-		// (b) the streaming auditor stayed silent and the history is
-		// serializable despite retries.
+		// (a) the streaming auditor stayed silent and the history is
+		// serializable despite sheds and retries.
 		r.auditorSilent()
 		r.checkHistory()
-
-		// (a) no retry storm: the token bucket bounds retries by
-		// construction; this asserts the wiring didn't leak a path around it.
-		snap := r.c.Obs.Snapshot()
-		retries := snap.Counters["resilience_retries_total"]
-		fresh, clients := r.fresh.Load(), r.clients.Load()
-		bound := int64(budgetRatio*float64(fresh)) + budgetBurst*clients
-		if retries > bound {
-			r.fail("retry storm: %d retries > budget bound %d (fresh=%d clients=%d)", retries, bound, fresh, clients)
-		}
-		t.Logf("%d transfers, %d retries (bound %d), %d sheds, breaker opens %d, slowed %d deliveries",
-			r.transfers.Load(), retries, bound, shedTotal(mergedServerCounters(r.c, bankShards, bankReplicas)),
-			snap.Counters["breaker_open_total"], r.in.Stats().Slowed)
+		t.Logf("%d transfers, %d sheds, slowed %d deliveries",
+			r.transfers.Load(), shedTotal(mergedServerCounters(r.c, bankShards, bankReplicas)), r.in.Stats().Slowed)
 	})
 }
 
@@ -103,93 +78,6 @@ func shedTotal(counters map[string]int64) int64 {
 	return n
 }
 
-// TestBreakerRecovery walks one endpoint through the full breaker
-// lifecycle against a real cluster: a frozen primary accumulates transport
-// failures until the circuit opens, further calls fail fast without
-// touching the network, and after the replica revives a half-open probe
-// closes the circuit and traffic flows again.
-func TestBreakerRecovery(t *testing.T) {
-	const (
-		threshold = 3
-		cooldown  = 100 * time.Millisecond
-	)
-	in := faults.New(faults.Options{Seed: 11})
-	c := newTestCluster(t, ClusterOptions{
-		Shards: 1, Replicas: 3,
-		LeaseDuration: -1, // no failover: the frozen primary stays the target
-		Seed:          11,
-		NetWrapper:    in.Wrap,
-		Resilience: &resilience.Options{
-			Breaker: resilience.BreakerOptions{FailureThreshold: threshold, Cooldown: cooldown},
-			NoRetry: true, // keep each failed txn exactly one transport failure
-		},
-	})
-	ctx := context.Background()
-	cl := c.NewTxnClient(1)
-	key := []byte("k")
-
-	read := func() error {
-		tctx, cancel := context.WithTimeout(ctx, time.Second)
-		defer cancel()
-		return cl.RunTransaction(tctx, func(tx *milana.Txn) error {
-			_, _, err := tx.Get(tctx, key)
-			return err
-		})
-	}
-	if err := read(); err != nil {
-		t.Fatalf("healthy read: %v", err)
-	}
-
-	prim := Addr(0, 0)
-	in.Freeze(prim)
-	for i := 0; i < threshold; i++ {
-		if err := read(); err == nil {
-			t.Fatalf("read %d against frozen primary succeeded", i)
-		}
-	}
-	snap := c.Obs.Snapshot()
-	if snap.Counters["breaker_open_total"] < 1 {
-		t.Fatalf("breaker never opened after %d consecutive failures", threshold)
-	}
-	// Open circuit: the failure is immediate and never reaches the network.
-	before := in.Stats().Blocked
-	start := time.Now()
-	err := read()
-	if !resilience.IsCircuitOpen(err) {
-		t.Fatalf("expected fast circuit-open failure, got %v", err)
-	}
-	if elapsed := time.Since(start); elapsed > cooldown/2 {
-		t.Fatalf("fast fail took %v; the whole point is not waiting", elapsed)
-	}
-	if after := in.Stats().Blocked; after != before {
-		t.Fatal("fast-failed call still reached the transport")
-	}
-	if c.Obs.Snapshot().Counters["breaker_fastfail_total"] < 1 {
-		t.Fatal("fast failure not counted")
-	}
-
-	// Revive the replica; after the cooldown one half-open probe finds it
-	// healthy and the circuit closes.
-	in.Unfreeze(prim)
-	time.Sleep(cooldown + 10*time.Millisecond)
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if err := read(); err == nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("breaker never recovered after revival: %v", err)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	// Closed for good: the next reads pass without fast failures.
-	for i := 0; i < 5; i++ {
-		if err := read(); err != nil {
-			t.Fatalf("post-recovery read %d: %v", i, err)
-		}
-	}
-}
-
 // TestOverloadGoodputCurve is the graceful-degradation gate behind
 // `make overload`: a cluster with admission control holds ≥70% of its
 // pre-overload goodput when offered 4× the load with one gray-failed
@@ -213,12 +101,9 @@ func TestOverloadGoodputCurve(t *testing.T) {
 		Seed:          3,
 		NetWrapper:    in.Wrap,
 		Latency:       transport.LatencyModel{OneWay: 150 * time.Microsecond, Jitter: 50 * time.Microsecond},
-		Resilience: &resilience.Options{
-			Admission: resilience.AdmissionOptions{
-				MaxInflight:   maxInflight,
-				MaxQueueDelay: 20 * time.Millisecond,
-			},
-			Retry: resilience.RetryOptions{BudgetRatio: 0.1, BudgetBurst: 10},
+		Admission: &resilience.AdmissionOptions{
+			MaxInflight:   maxInflight,
+			MaxQueueDelay: 20 * time.Millisecond,
 		},
 	})
 	ctx := context.Background()
@@ -253,8 +138,6 @@ func TestOverloadGoodputCurve(t *testing.T) {
 							t.Errorf("shed error carries no RetryAfter hint: %v", err)
 							return
 						}
-					case errors.Is(err, context.DeadlineExceeded) || resilience.IsDeadlineExceeded(err):
-						other.Add(1)
 					default:
 						other.Add(1)
 					}
@@ -323,26 +206,20 @@ func TestOverloadGoodputCurve(t *testing.T) {
 	}
 }
 
-// gateNet is a no-op transport for the overhead gate's component
-// benchmarks: it isolates the resilience wrapper's own fast-path cost.
-type gateNet struct{}
-
-func (gateNet) Call(ctx context.Context, addr string, req any) (any, error) { return "ok", nil }
-
 // TestResilienceOverheadGate is the make-overhead gate for the idle-path
-// cost of the whole resilience layer (admission on every server, breakers +
-// retry budget on every client): < 2% of a bus read-modify-write
-// transaction. Opt-in via RESILIENCE_OVERHEAD_GATE, same reasoning as the
-// other wall-clock gates.
+// cost of admission control on every server: < 2% of a bus
+// read-modify-write transaction. Opt-in via RESILIENCE_OVERHEAD_GATE, same
+// reasoning as the other wall-clock gates.
 //
-// The tight 2% bound is asserted on *accounted* cost: each component's warm
-// fast path is benchmarked in this process, multiplied by how many times one
-// transaction exercises it, and divided by the cluster's measured per-txn
-// latency. A direct A/B throughput delta cannot carry a 2% assertion here —
-// on a shared machine its run-to-run noise is ±3%, larger than the budget
-// itself — so the wall-clock comparison below instead gets a loose bound
-// that still catches structural regressions the per-component accounting
-// would miss (an accidental goroutine or lock convoy per operation).
+// The tight 2% bound is asserted on *accounted* cost: each admission class's
+// warm fast path is benchmarked in this process, multiplied by how many times
+// one transaction exercises it, and divided by the cluster's measured
+// per-txn latency. A direct A/B throughput delta cannot carry a 2% assertion
+// here — on a shared machine its run-to-run noise is ±3%, larger than the
+// budget itself — so the wall-clock comparison below instead gets a loose
+// bound that still catches structural regressions the per-component
+// accounting would miss (an accidental goroutine or lock convoy per
+// operation).
 func TestResilienceOverheadGate(t *testing.T) {
 	if os.Getenv("RESILIENCE_OVERHEAD_GATE") == "" {
 		t.Skip("set RESILIENCE_OVERHEAD_GATE=1 (make overhead does) to run the overhead gate")
@@ -352,13 +229,11 @@ func TestResilienceOverheadGate(t *testing.T) {
 	const wallClockBudget = 0.10
 
 	// How one runSequentialTxns transaction (1 Get + 1 Put, one shard,
-	// three replicas) exercises the layer:
-	//   - 3 breaker-wrapped client calls (get, prepare, decision);
-	//   - 7 server admissions: get (read class) + prepare (prepare class)
-	//     classify and check queue delay; decision + 4 replication
-	//     messages (2 backups × prepare, decision) are control class.
+	// three replicas) exercises admission, at most: get (read class) +
+	// prepare (prepare class) classify and check queue delay; decision + 4
+	// replication messages (2 backups × prepare, decision) are control
+	// class.
 	const (
-		breakerCalls   = 3
 		classifiedReqs = 2
 		controlReqs    = 5
 	)
@@ -369,13 +244,6 @@ func TestResilienceOverheadGate(t *testing.T) {
 		return ns
 	}
 
-	budget := resilience.NewBudget(0.1, 10, nil)
-	breaker := resilience.NewBreakerClient(gateNet{}, resilience.BreakerOptions{})
-	nsBreaker := bench("breaker call (closed)", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_, _ = breaker.Call(ctx, "shard0/r0", nil)
-		}
-	})
 	adm := resilience.NewAdmission(resilience.AdmissionOptions{})
 	// A traced server-side context carries one value, the request record;
 	// admission pays for looking it up, so the benchmark context does too.
@@ -394,22 +262,15 @@ func TestResilienceOverheadGate(t *testing.T) {
 			}
 		}
 	})
-	retrier := resilience.NewRetrier(resilience.RetryOptions{Seed: 1}, budget)
-	nsRetry := bench("retry bookkeeping", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			retrier.OnFresh()
-		}
-	})
 
-	perTxn := breakerCalls*nsBreaker +
-		classifiedReqs*nsAdmitRead + controlReqs*nsAdmitCtl + nsRetry
+	perTxn := classifiedReqs*nsAdmitRead + controlReqs*nsAdmitCtl
 
-	// Denominator: the per-transaction latency of a resilience-enabled
+	// Denominator: the per-transaction latency of an admission-enabled
 	// cluster, best of two runs (peaks are far less noisy than means).
-	measure := func(withResilience bool) float64 {
+	measure := func(withAdmission bool) float64 {
 		opt := ClusterOptions{}
-		if withResilience {
-			opt.Resilience = &resilience.Options{}
+		if withAdmission {
+			opt.Admission = &resilience.AdmissionOptions{}
 		}
 		c, err := NewCluster(opt)
 		if err != nil {
@@ -434,7 +295,7 @@ func TestResilienceOverheadGate(t *testing.T) {
 	t.Logf("accounted %.0f ns per %.0f ns txn = %.2f%% (budget %.0f%%)",
 		perTxn, txnNs, 100*accounted, 100*accountedBudget)
 	if accounted > accountedBudget {
-		t.Fatalf("idle resilience layer costs %.2f%% of a transaction, budget is %.0f%%",
+		t.Fatalf("idle admission control costs %.2f%% of a transaction, budget is %.0f%%",
 			100*accounted, 100*accountedBudget)
 	}
 
@@ -448,10 +309,10 @@ func TestResilienceOverheadGate(t *testing.T) {
 		base = v
 	}
 	wall := 1 - instr/base
-	t.Logf("wall-clock: base %.0f txn/s, resilience %.0f txn/s, delta %.2f%% (budget %.0f%%)",
+	t.Logf("wall-clock: base %.0f txn/s, admission %.0f txn/s, delta %.2f%% (budget %.0f%%)",
 		base, instr, 100*wall, 100*wallClockBudget)
 	if wall > wallClockBudget {
-		t.Fatalf("resilience layer wall-clock cost %.2f%% exceeds structural-regression bound %.0f%%",
+		t.Fatalf("admission control wall-clock cost %.2f%% exceeds structural-regression bound %.0f%%",
 			100*wall, 100*wallClockBudget)
 	}
 }

@@ -18,6 +18,8 @@ type AblationRow struct {
 	MeanSkew      time.Duration // undilated
 	AbortRate     float64
 	ThroughputTPS float64
+	// Aborts is the number of aborts SkewAbortPct is a share of.
+	Aborts int64
 	// SkewAbortPct is the fraction of aborts attributable to the
 	// clock-skew-sensitive branches of Algorithm 1 (late-write rules).
 	SkewAbortPct float64
@@ -37,7 +39,10 @@ type AblationRow struct {
 // tighter clocks stop paying off: once skew falls below the device write
 // time, aborts are pure contention.
 func RunSkewAblation(ctx context.Context, cfg Config) ([]AblationRow, error) {
-	duration := cfg.duration(3*time.Second, 80*time.Millisecond)
+	// The quick window must hold enough aborts for SkewAbortPct to mean
+	// something: 80 ms gave the perfect-clock row 3–9 aborts and shares of
+	// 0–67 %, 800 ms gives it 36–148 aborts and 7–25 %.
+	duration := cfg.duration(3*time.Second, 800*time.Millisecond)
 	users := cfg.users(5000, 150)
 	instances := 20
 	profiles := []clock.Profile{clock.NTP, clock.PTPSoftware, clock.PTPHardware, clock.DTP, clock.PerfectProfile}
@@ -80,21 +85,20 @@ func RunSkewAblation(ctx context.Context, cfg Config) ([]AblationRow, error) {
 			AbortRate:     res.abortRate(),
 			ThroughputTPS: res.ThroughputTPS,
 		}
-		total := int64(0)
 		for _, n := range res.AbortsByReason {
-			total += n
+			row.Aborts += n
 		}
-		if total > 0 {
+		if row.Aborts > 0 {
 			skew := res.AbortsByReason[wire.AbortLateWriteRead] + res.AbortsByReason[wire.AbortLateWrite]
-			row.SkewAbortPct = 100 * float64(skew) / float64(total)
+			row.SkewAbortPct = 100 * float64(skew) / float64(row.Aborts)
 		}
 		provSkew := snap.Counters[`milana_abort_provenance_total{cause="skew"}`]
 		provConflict := snap.Counters[`milana_abort_provenance_total{cause="conflict"}`]
 		if prov := provSkew + provConflict; prov > 0 {
 			row.ProvenanceSkewPct = 100 * float64(provSkew) / float64(prov)
 		}
-		cfg.progress("ablation %s: abort %.2f%% (skew-attributable %.1f%%, provenance skew %.1f%%)",
-			prof.Name, 100*row.AbortRate, row.SkewAbortPct, row.ProvenanceSkewPct)
+		cfg.progress("ablation %s: abort %.2f%% (%d aborts, skew-attributable %.1f%%, provenance skew %.1f%%)",
+			prof.Name, 100*row.AbortRate, row.Aborts, row.SkewAbortPct, row.ProvenanceSkewPct)
 		rows = append(rows, row)
 	}
 	return rows, nil

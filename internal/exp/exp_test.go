@@ -159,6 +159,7 @@ func TestRunSkewAblationQuick(t *testing.T) {
 			t.Fatalf("bad row %+v", r)
 		}
 	}
+	t.Logf("perfect clocks: %d aborts, %.1f%% skew-attributed", rows[1].Aborts, rows[1].SkewAbortPct)
 	if rows[1].Profile != "perfect" || rows[1].SkewAbortPct > 50 {
 		t.Fatalf("perfect clocks show high skew-attributed aborts: %+v", rows[1])
 	}

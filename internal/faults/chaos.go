@@ -40,7 +40,7 @@ type ChaosOptions struct {
 	// (Injector.SetSlow), an unslow event heals one slowed node. Slowness
 	// is degradation, not unavailability, so it does not count against a
 	// group's live-majority guard — but it is exactly the overload trigger
-	// admission control and breakers exist for.
+	// admission control exists for.
 	MaxSlow time.Duration
 }
 

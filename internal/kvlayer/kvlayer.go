@@ -272,13 +272,6 @@ func (s *Store) SetWatermark(ts clock.Timestamp) {
 	s.mu.Unlock()
 }
 
-// Watermark returns the current watermark.
-func (s *Store) Watermark() clock.Timestamp {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.watermark
-}
-
 // Flush forces out all partially packed pages.
 func (s *Store) Flush() {
 	for _, p := range s.packers {

@@ -14,7 +14,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/obs"
 	"repro/internal/park"
-	"repro/internal/resilience"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -99,12 +98,6 @@ type Client struct {
 	// beginSinks is the subset of sinks also wanting begin notifications
 	// (check.BeginSink — the online auditor's in-flight tracking).
 	beginSinks []check.BeginSink
-
-	// retrier, when attached via EnableResilience, turns RunTransaction's
-	// immediate conflict-retry loop into budgeted full-jitter backoff that
-	// honors server RetryAfter pushback. Nil keeps the paper's
-	// retry-immediately behavior (§5.2).
-	retrier *resilience.Retrier
 
 	// notifier sends asynchronous phase-two decisions on parked goroutines
 	// (see decisionJob).
@@ -208,12 +201,6 @@ func (c *Client) AddSink(s check.Sink) {
 	if bs, ok := s.(check.BeginSink); ok {
 		c.beginSinks = append(c.beginSinks, bs)
 	}
-}
-
-// EnableResilience attaches the client's retry policy. Call before issuing
-// transactions; not safe to swap concurrently with them.
-func (c *Client) EnableResilience(r *resilience.Retrier) {
-	c.retrier = r
 }
 
 // Clock exposes the client's clock (trace collection reads its Health to
@@ -719,18 +706,13 @@ func (c *Client) notify(j decisionJob) {
 	}
 }
 
-// RunTransaction executes fn inside a transaction, retrying on conflict
-// aborts until ctx expires. Without a retry policy it retries immediately
-// with the same keys — the Retwis clients of §5.2. With EnableResilience,
-// retries (of conflict aborts and of admission-control sheds) wait out
-// full-jitter exponential backoff — raised to the server's RetryAfter hint
-// when one was pushed back — and draw from the client's token-bucket retry
-// budget: an exhausted budget returns the error to the application instead
-// of amplifying an overload. ErrUnknown is never auto-retried in either
-// mode (§4.5: cooperative termination may yet commit the writes).
+// RunTransaction executes fn inside a transaction, retrying a conflict
+// abort (ErrAborted) at once with the same keys until ctx expires — the
+// Retwis clients of §5.2. Every other error is returned: an
+// admission-control shed (the caller may wait out its RetryAfter hint), a
+// transport failure, and ErrUnknown, which is never retried (§4.5:
+// cooperative termination may yet commit the writes).
 func (c *Client) RunTransaction(ctx context.Context, fn func(t *Txn) error) error {
-	c.retrier.OnFresh()
-	attempt := 0
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -744,23 +726,8 @@ func (c *Client) RunTransaction(ctx context.Context, fn func(t *Txn) error) erro
 			return nil
 		}
 		t.Abort()
-		busy := resilience.IsServerBusy(err)
-		if c.retrier == nil {
-			if !errors.Is(err, ErrAborted) {
-				return err
-			}
-			continue
-		}
-		if !errors.Is(err, ErrAborted) && !busy {
+		if !errors.Is(err, ErrAborted) {
 			return err
-		}
-		if !c.retrier.TryRetry(busy) {
-			return err
-		}
-		attempt++
-		hint, _ := resilience.RetryAfterFrom(err)
-		if serr := resilience.Sleep(ctx, c.retrier.Backoff(attempt, hint)); serr != nil {
-			return serr
 		}
 	}
 }

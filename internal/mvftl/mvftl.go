@@ -768,13 +768,6 @@ func (s *Store) isLive(key string, ts clock.Timestamp, ppn, off int32) bool {
 	return false
 }
 
-// FreeBlocks reports the free pool size.
-func (s *Store) FreeBlocks() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.free)
-}
-
 // Dump streams every mapped version with timestamp > since, reading values
 // from media. Versions pruned or relocated mid-dump are skipped or re-read
 // consistently; tombstones are emitted without values.

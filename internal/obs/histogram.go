@@ -205,12 +205,6 @@ func (s HistogramSnapshot) Mean() float64 {
 	return float64(s.Sum) / float64(s.Count)
 }
 
-// QuantileDuration returns Quantile(q) as a time.Duration, for
-// nanosecond-valued histograms.
-func (s HistogramSnapshot) QuantileDuration(q float64) time.Duration {
-	return time.Duration(s.Quantile(q))
-}
-
 // Exemplar is one remembered high-latency trace: the bucket's value range
 // and the most recent trace ID observed there.
 type Exemplar struct {

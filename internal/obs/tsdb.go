@@ -578,13 +578,6 @@ func DefaultWatchdogRules() []Rule {
 			BaselineN: 60, RecentN: 5, Cooldown: 30,
 		},
 		{
-			// Breaker-open onset: a circuit breaker tripping at all means
-			// some endpoint has been failing hard — fire on the first open.
-			Name: "breaker-open", Series: "breaker_open_total",
-			Kind: RuleRateSpike, Factor: 0, Floor: 1,
-			BaselineN: 60, RecentN: 5, Cooldown: 30,
-		},
-		{
 			// Shed-rate spike: admission control rejecting 4× its baseline
 			// rate (at least 20 sheds in the recent span) — the server is
 			// past its knee and clients should be seeing RetryAfter

@@ -372,7 +372,7 @@ func TestDefaultWatchdogRules(t *testing.T) {
 	want := map[string]bool{
 		"stage-p99-regression": false, "abort-rate-spike": false,
 		"watermark-lag-growth": false, "epsilon-violation": false,
-		"breaker-open": false, "shed-rate-spike": false,
+		"shed-rate-spike": false,
 	}
 	for _, r := range rules {
 		if _, ok := want[r.Name]; !ok {

@@ -1,7 +1,7 @@
-// Fast-path benchmarks for the resilience layer. These are the same shapes
-// the core overhead gate (TestResilienceOverheadGate) re-measures in-process
-// to account the layer's idle cost against a transaction's latency; keep
-// them allocation-honest (-benchmem) when touching the hot paths.
+// Fast-path benchmark for admission control. It is the same shape the core
+// overhead gate (TestResilienceOverheadGate) re-measures in-process to
+// account the layer's idle cost against a transaction's latency; keep it
+// allocation-honest (-benchmem) when touching the hot path.
 package resilience
 
 import (
@@ -10,27 +10,6 @@ import (
 
 	"repro/internal/obs"
 )
-
-type benchNet struct{}
-
-func (benchNet) Call(ctx context.Context, addr string, req any) (any, error) { return "ok", nil }
-
-func BenchmarkPlainCall(b *testing.B) {
-	ctx := context.Background()
-	var n benchNet
-	for i := 0; i < b.N; i++ {
-		_, _ = n.Call(ctx, "shard0/r0", nil)
-	}
-}
-
-func BenchmarkBreakerCall(b *testing.B) {
-	c := NewBreakerClient(benchNet{}, BreakerOptions{})
-	ctx := context.Background()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, _ = c.Call(ctx, "shard0/r0", nil)
-	}
-}
 
 func BenchmarkAdmitDone(b *testing.B) {
 	a := NewAdmission(AdmissionOptions{})

@@ -1,36 +1,30 @@
-// Package resilience is the overload and gray-failure survival kit for the
-// SEMEL/MILANA stack: end-to-end deadlines, an adaptive client retry policy
-// (exponential backoff with full jitter under a token-bucket retry budget),
-// per-endpoint circuit breakers with half-open probing, and server-side
-// admission control with strict priority load shedding and RetryAfter
-// pushback.
+// Package resilience is the server side of the SEMEL/MILANA stack's
+// overload story: end-to-end deadlines and admission control with strict
+// priority load shedding and RetryAfter pushback.
 //
 // The paper's latency story (commit-wait bounded by ε, §4) assumes healthy
-// replicas; this package keeps the system *live* when they are not:
+// replicas; this package keeps the servers *live* when they are not:
 //
 //   - Deadlines ride the wire envelope (transport frame v1, flags bit2), so
 //     a server can drop work the caller has already abandoned before it
 //     costs validate/flash/WAL cycles, and replication fan-out never
 //     outlives the coordinator's interest.
-//   - Retries are budgeted: each fresh transaction deposits BudgetRatio
-//     tokens, each retry withdraws one, so retry traffic is bounded at
-//     ~BudgetRatio of fresh traffic no matter how hard the cluster aborts —
-//     the retry-storm amplifier in the old tight RunTransaction loop is
-//     structurally impossible.
-//   - Circuit breakers turn a dead replica from N timeouts into one fast
-//     failure, and find recovery via single half-open probes.
 //   - Admission control sheds reads first, prepares later, and control
 //     traffic (decisions, CTP status, replication) never — in-doubt
 //     transactions always drain, which is what keeps the watermark moving
 //     and 2PC safe under overload.
 //
+// The client keeps one retry rule (milana.Client.RunTransaction retries a
+// conflict abort at once, §5.2) and returns a shed to its caller, which may
+// wait out the RetryAfter hint (cmd/loadgen does).
+//
 // Error taxonomy note: these errors cross the transport as strings (the TCP
-// framing flattens every server error into transport.RemoteError), so the
-// Is* helpers match on both wrapped error values and canonical substrings.
+// framing flattens every server error into transport.RemoteError), so
+// IsServerBusy and RetryAfterFrom match on both wrapped error values and
+// canonical substrings.
 package resilience
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -51,12 +45,6 @@ var ErrDeadlineExceeded = transport.ErrDeadlineExceeded
 // recovers on the client side.
 var ErrServerBusy = errors.New("resilience: server overloaded")
 
-// ErrCircuitOpen is a fast failure from an open per-endpoint circuit
-// breaker: the endpoint has failed repeatedly and is not being retried
-// until a half-open probe succeeds. Callers see it in place of another
-// doomed network round trip.
-var ErrCircuitOpen = errors.New("resilience: circuit open")
-
 // retryAfterMarker is the canonical hint phrasing inside shed errors; it
 // must survive the string-flattening transport boundary, so RetryAfterFrom
 // parses it back out of arbitrary error text.
@@ -68,19 +56,6 @@ func busyError(pri Priority, retryAfter time.Duration) error {
 	return fmt.Errorf("%w (shed %s): %s%s", ErrServerBusy, pri, retryAfterMarker, retryAfter)
 }
 
-// IsDeadlineExceeded reports whether err is a deadline expiry — the
-// caller's own context, the server-side drop, or either flattened into a
-// remote error string.
-func IsDeadlineExceeded(err error) bool {
-	if err == nil {
-		return false
-	}
-	if errors.Is(err, ErrDeadlineExceeded) || errors.Is(err, context.DeadlineExceeded) {
-		return true
-	}
-	return strings.Contains(err.Error(), "deadline exceeded")
-}
-
 // IsServerBusy reports whether err is an admission-control shed verdict,
 // across the string-flattening transport boundary.
 func IsServerBusy(err error) bool {
@@ -88,14 +63,6 @@ func IsServerBusy(err error) bool {
 		return false
 	}
 	return errors.Is(err, ErrServerBusy) || strings.Contains(err.Error(), "server overloaded")
-}
-
-// IsCircuitOpen reports whether err is a breaker fast-failure.
-func IsCircuitOpen(err error) bool {
-	if err == nil {
-		return false
-	}
-	return errors.Is(err, ErrCircuitOpen) || strings.Contains(err.Error(), "circuit open")
 }
 
 // RetryAfterFrom recovers the server's RetryAfter pushback hint from a shed
@@ -163,20 +130,5 @@ func (p Priority) String() string {
 		return "prepare"
 	default:
 		return "read"
-	}
-}
-
-// Sleep waits for d, honoring ctx cancellation.
-func Sleep(ctx context.Context, d time.Duration) error {
-	if d <= 0 {
-		return ctx.Err()
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
 	}
 }

@@ -58,10 +58,6 @@ func (s *Server) regimeBarrier() {
 	s.regime.Unlock()
 }
 
-func (s *Server) handlePromote(ctx context.Context, _ wire.PromoteRequest) (wire.PromoteResponse, error) {
-	return wire.PromoteResponse{}, s.Promote(ctx)
-}
-
 // Promote turns this backup into the shard's primary: pull state from the
 // surviving replicas, merge data versions (their order is reconstructed
 // from version stamps), merge transaction tables (Algorithm 2), wait out

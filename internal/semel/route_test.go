@@ -62,7 +62,6 @@ func TestRouteTable(t *testing.T) {
 		{wire.TSDBRequest{}, "", "", control},
 		{wire.AuditRequest{}, "", "", control},
 		{wire.RecoveryPullRequest{}, "", "", control},
-		{wire.PromoteRequest{}, "", "", control},
 	}
 	seen := make(map[*route]bool)
 	for _, c := range cases {

@@ -247,9 +247,6 @@ func NewServer(opt ServerOptions) (*Server, error) {
 	return s, nil
 }
 
-// Addr returns the server's transport address.
-func (s *Server) Addr() string { return s.opt.Addr }
-
 // Manager exposes the transaction module (tests and recovery drivers).
 func (s *Server) Manager() *milana.Manager { return s.mgr }
 
@@ -312,7 +309,7 @@ type route struct {
 type routes struct {
 	replicated, get, multiGet, put, delete, replData, watermark, prepare, decision, status,
 	replPrepare, replDecision, lease, walStatus, stats, trace, timeHealth, tsdb, audit,
-	recoveryPull, promote route
+	recoveryPull route
 }
 
 // newRoutes builds s's route table. Replication and infrastructure rows are
@@ -343,7 +340,6 @@ func newRoutes(s *Server) routes {
 		tsdb:         route{serve: handler(s.handleTSDB)},
 		audit:        route{serve: handler(s.handleAudit)},
 		recoveryPull: route{serve: handler(s.handleRecoveryPull)},
-		promote:      route{serve: handler(s.handlePromote)},
 	}
 }
 
@@ -394,8 +390,6 @@ func (t *routes) of(req any) *route {
 		return &t.audit
 	case wire.RecoveryPullRequest:
 		return &t.recoveryPull
-	case wire.PromoteRequest:
-		return &t.promote
 	default:
 		return nil
 	}

@@ -641,9 +641,6 @@ func (w *WAL) DurableLSN() uint64 {
 	return w.durableLSN
 }
 
-// Dir returns the log directory.
-func (w *WAL) Dir() string { return w.dir }
-
 // Close flushes buffered appends, fsyncs, and closes the active segment.
 func (w *WAL) Close() error {
 	w.mu.Lock()

@@ -85,8 +85,8 @@ const (
 	tLeaseResponse
 	tRecoveryPullRequest
 	tRecoveryPullResponse
-	tPromoteRequest
-	tPromoteResponse
+	_ // 26, 27: retired (PromoteRequest/PromoteResponse); never reuse
+	_
 	tStatsRequest
 	tStatsResponse
 	tTraceRequest
@@ -367,14 +367,6 @@ func appendMessage(b []byte, msg any) ([]byte, error) {
 		return appendRecoveryPullResponse(au(b, tRecoveryPullResponse), &m), nil
 	case *RecoveryPullResponse:
 		return appendRecoveryPullResponse(au(b, tRecoveryPullResponse), m), nil
-	case PromoteRequest:
-		return au(b, tPromoteRequest), nil
-	case *PromoteRequest:
-		return au(b, tPromoteRequest), nil
-	case PromoteResponse:
-		return au(b, tPromoteResponse), nil
-	case *PromoteResponse:
-		return au(b, tPromoteResponse), nil
 	case StatsRequest:
 		return aBool(au(b, tStatsRequest), m.Detailed), nil
 	case *StatsRequest:
@@ -498,10 +490,6 @@ func decMessage(r *reader) (any, error) {
 		v = RecoveryPullRequest{Since: r.ts()}
 	case tRecoveryPullResponse:
 		v = decRecoveryPullResponse(r)
-	case tPromoteRequest:
-		v = PromoteRequest{}
-	case tPromoteResponse:
-		v = PromoteResponse{}
 	case tStatsRequest:
 		v = StatsRequest{Detailed: r.bool()}
 	case tStatsResponse:

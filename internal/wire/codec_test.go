@@ -67,8 +67,6 @@ func codecExemplars() []any {
 			Data:        []DataOp{{Key: []byte("d"), Val: []byte("dv"), Version: ts(2, 2)}},
 			LeaseExpiry: ts(3, 3),
 		},
-		PromoteRequest{},
-		PromoteResponse{},
 		StatsRequest{Detailed: true},
 		StatsResponse{
 			Addr: "a:1", Shard: 2, Primary: true,
@@ -164,8 +162,6 @@ func roundTripExtras() []any {
 		LeaseResponse{Granted: true},
 		RecoveryPullRequest{Since: ts},
 		RecoveryPullResponse{Txns: []TxnRecord{{ID: TxnID{Client: 9}}}, LeaseExpiry: ts},
-		PromoteRequest{},
-		PromoteResponse{},
 		TraceRequest{TraceID: 11},
 		TraceResponse{Addr: "shard0/r1",
 			Spans: []obs.SpanRecord{{TraceID: 11, SpanID: 2, Parent: 1, Node: "shard0/r1", Name: "serve", Start: 5, End: 9, Outcome: "ok"}},
@@ -389,21 +385,21 @@ func TestCodecTypeIDsFrozen(t *testing.T) {
 		"wire.LeaseResponse":        23,
 		"wire.RecoveryPullRequest":  24,
 		"wire.RecoveryPullResponse": 25,
-		"wire.PromoteRequest":       26,
-		"wire.PromoteResponse":      27,
-		"wire.StatsRequest":         28,
-		"wire.StatsResponse":        29,
-		"wire.TraceRequest":         30,
-		"wire.TraceResponse":        31,
-		"wire.TimeHealthRequest":    32,
-		"wire.TimeHealthResponse":   33,
-		"wire.AuditRequest":         34,
-		"wire.AuditResponse":        35,
-		"wire.TSDBRequest":          36,
-		"wire.TSDBResponse":         37,
-		"wire.WALCheckpoint":        38,
-		"wire.WALStatusRequest":     39,
-		"wire.WALStatusResponse":    40,
+		// 26, 27: PromoteRequest/PromoteResponse, retired; their ids stay
+		// reserved and decode as unknown (TestCodecRetiredTypeIDs).
+		"wire.StatsRequest":       28,
+		"wire.StatsResponse":      29,
+		"wire.TraceRequest":       30,
+		"wire.TraceResponse":      31,
+		"wire.TimeHealthRequest":  32,
+		"wire.TimeHealthResponse": 33,
+		"wire.AuditRequest":       34,
+		"wire.AuditResponse":      35,
+		"wire.TSDBRequest":        36,
+		"wire.TSDBResponse":       37,
+		"wire.WALCheckpoint":      38,
+		"wire.WALStatusRequest":   39,
+		"wire.WALStatusResponse":  40,
 	}
 	seen := map[string]bool{}
 	for _, m := range codecExemplars() {
@@ -427,6 +423,17 @@ func TestCodecTypeIDsFrozen(t *testing.T) {
 	for name := range want {
 		if !seen[name] {
 			t.Errorf("%s: frozen type id has no codec exemplar", name)
+		}
+	}
+}
+
+// TestCodecRetiredTypeIDs pins that a retired type id stays retired: 26 and
+// 27 (the old PromoteRequest/PromoteResponse, whose work semel.Server.Promote
+// does in-process) decode as an unknown type, never as a newer message.
+func TestCodecRetiredTypeIDs(t *testing.T) {
+	for _, id := range []byte{26, 27} {
+		if _, err := Codec.Decode([]byte{id}); !errors.Is(err, errUnknownType) {
+			t.Errorf("decode of retired type id %d: err = %v, want %v", id, err, errUnknownType)
 		}
 	}
 }

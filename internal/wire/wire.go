@@ -429,13 +429,6 @@ type TSDBResponse struct {
 	Series     []obs.SeriesDump
 }
 
-// PromoteRequest tells a backup it is now the primary of its shard; it
-// triggers the recovery merge before the new primary serves traffic.
-type PromoteRequest struct{}
-
-// PromoteResponse acknowledges completed recovery.
-type PromoteResponse struct{}
-
 // ---- durability (write-ahead log checkpoints + recovery observability) ----
 
 // WALCheckpoint is the snapshot a replica writes as its write-ahead-log
