@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race check cover fmt nogob onecarrier oneroute oneretry onepark onechaos onedriver audit stress overload crash overhead benchall
+.PHONY: all build vet test race check cover reach fmt nogob onecarrier oneroute oneretry onepark onechaos onedriver audit stress overload crash overhead benchall
 
 all: check
 
@@ -29,6 +29,18 @@ cover:
 	echo "coverage: $$total% (floor $(COVER_MIN)%)"; \
 	awk -v t="$$total" -v min=$(COVER_MIN) 'BEGIN { exit (t+0 < min) ? 1 : 0 }' || \
 		{ echo "coverage $$total% below floor $(COVER_MIN)%"; exit 1; }
+
+# reach fails if a shipped function under internal/ never runs under the
+# test suite — every internal package instrumented, the tests of internal/
+# and cmd/ (the in-process semeld/milctl/loadgen loopback test) run — unless
+# reach.allow names it with the gate that reaches it or why none does.
+# Entries are "<file> <function>", so they survive code moving within a file.
+reach:
+	$(GO) test -coverpkg=./internal/... -coverprofile=reach.out ./internal/... ./cmd/...
+	@bad=$$($(GO) tool cover -func=reach.out | awk 'NR == FNR { if ($$1 !~ /^#/ && NF) allow[$$1 " " $$2] = 1; next } \
+		$$NF == "0.0%" { f = $$1; sub(/:[0-9]+:$$/, "", f); if (!((f " " $$2) in allow)) print f, $$2 }' reach.allow -); \
+	if [ -n "$$bad" ]; then echo "reach: shipped functions no test runs (test them, delete them, or list them in reach.allow):"; echo "$$bad"; exit 1; fi; \
+	echo "reach: ok"
 
 # fmt keeps the Go sources gofmt-clean: it fails if gofmt would rewrite any
 # file under internal/, cmd/ or examples/, and names the files.
@@ -118,7 +130,8 @@ audit:
 # gofmt-clean, pass the full test suite under the race detector (which
 # includes a small 2-seed × 3-profile chaos sweep via TestStressChaosSweep
 # and the online audit suite), hold the coverage floor, survive the
-# crash/durability gate, keep encoding/gob out of everything that ships,
+# crash/durability gate, run every shipped function under internal/ that
+# reach.allow does not name, keep encoding/gob out of everything that ships,
 # keep the request record the only context value, keep request classes out
 # of internal/resilience, keep one client retry rule in internal/milana,
 # keep the wait on a prepared mark inside internal/milana, keep one chaos
@@ -136,6 +149,7 @@ check:
 	$(MAKE) onedriver
 	$(GO) test -race ./...
 	$(MAKE) cover
+	$(MAKE) reach
 	$(MAKE) crash
 
 # stress is the seeded chaos sweep: CHAOS_ROUNDS seeds (starting at

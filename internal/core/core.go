@@ -368,13 +368,23 @@ func (c *Cluster) minWatermark() clock.Timestamp {
 // address, skewed client/server clocks by ID (flight-recorder context).
 func (c *Cluster) clockHealthSnapshot() map[string]clock.Health {
 	out := make(map[string]clock.Health)
-	for addr, s := range c.liveServers() {
-		out[addr] = s.TimeHealth().Clock
+	for addr := range c.liveServers() {
+		out[addr] = c.serverClockHealth(addr)
 	}
 	for _, sk := range c.Clocks() {
 		out[fmt.Sprintf("clock-%d", sk.Client())] = sk.Health()
 	}
 	return out
+}
+
+// serverClockHealth reports the sync state of the clock behind the replica
+// at addr; a clock that cannot report (no HealthReporter) reads as perfectly
+// synchronized.
+func (c *Cluster) serverClockHealth(addr string) clock.Health {
+	if hr, ok := c.slots[addr].clock.(clock.HealthReporter); ok {
+		return hr.Health()
+	}
+	return clock.Health{}
 }
 
 // spansForTrace gathers the retained spans of one trace across every

@@ -53,15 +53,15 @@ func TestStressKillChaos(t *testing.T) {
 			if n == 0 {
 				r.fail("replica %s was never amnesia-killed", addr)
 			}
-			resp, err := r.c.Bus.Call(context.Background(), addr, wire.WALStatusRequest{})
+			resp, err := r.c.Bus.Call(context.Background(), addr, wire.StatsRequest{})
 			if err != nil {
-				r.fail("WAL status %s: %v", addr, err)
+				r.fail("stats %s: %v", addr, err)
 			}
-			st := resp.(wire.WALStatusResponse)
-			if !st.Enabled {
+			gauges := resp.(wire.StatsResponse).Obs.Gauges
+			if _, ok := gauges["wal_appended_lsn"]; !ok {
 				r.fail("replica %s reports WAL disabled", addr)
 			}
-			replayed += st.ReplayRecords
+			replayed += gauges["recovery_replay_records"]
 		}
 		if replayed == 0 {
 			r.fail("no replica replayed a single WAL record; recovery never exercised")

@@ -17,10 +17,10 @@ import (
 func collectTrace(c *Cluster, tid uint64, replicas int) *obs.Collector {
 	col := obs.NewCollector()
 	for r := 0; r < replicas; r++ {
-		srv := c.Server(Addr(0, r))
-		col.AddSpans(srv.Spans().ForTrace(tid))
-		th := srv.TimeHealth()
-		col.SetNodeClock(obs.NodeClock{Node: th.Addr, OffsetNs: th.Clock.OffsetNs, UncertaintyNs: th.Clock.UncertaintyNs})
+		addr := Addr(0, r)
+		col.AddSpans(c.Server(addr).Spans().ForTrace(tid))
+		h := c.serverClockHealth(addr)
+		col.SetNodeClock(obs.NodeClock{Node: addr, OffsetNs: h.OffsetNs, UncertaintyNs: h.UncertaintyNs})
 	}
 	return col
 }

@@ -58,6 +58,11 @@ func TestRunFigure1Quick(t *testing.T) {
 	if zero.Epsilon != 0 || skewed.Epsilon != 2*time.Millisecond {
 		t.Fatalf("unexpected sweep: %v %v", zero.Epsilon, skewed.Epsilon)
 	}
+	t.Logf("2 ms skew: rejection %.3f over %d attempts; zero skew: %.3f over %d",
+		skewed.RejectionRate, skewed.Attempts, zero.RejectionRate, zero.Attempts)
+	if skewed.Attempts < 50 {
+		t.Fatalf("2 ms skew row made %d attempts, too few to judge its rejection rate", skewed.Attempts)
+	}
 	if !(skewed.RejectionRate > zero.RejectionRate) {
 		t.Fatalf("skewed rejection %.3f not above zero-skew %.3f", skewed.RejectionRate, zero.RejectionRate)
 	}

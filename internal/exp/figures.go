@@ -35,12 +35,19 @@ type Fig1Row struct {
 	// AvgSuccessLatency is the lagging client's average time from first
 	// attempt to an accepted write.
 	AvgSuccessLatency time.Duration
+	// Attempts is the lagging client's write attempts: the sample
+	// RejectionRate is taken over.
+	Attempts int64
 }
 
 // RunFigure1 measures the lagging-writer penalty for a sweep of skews ε
 // around the system's write latency t_w.
 func RunFigure1(ctx context.Context, cfg Config) ([]Fig1Row, error) {
-	duration := cfg.duration(3*time.Second, 50*time.Millisecond)
+	// The quick window must hold enough attempts for RejectionRate to mean
+	// something: 50 ms gave the 2 ms-skew row 21–26 attempts and rates of
+	// 0.35–0.56 (0.22 once, beside a loaded suite); 500 ms gives it ten
+	// times the sample.
+	duration := cfg.duration(3*time.Second, 500*time.Millisecond)
 	epsilons := []time.Duration{0, 100 * time.Microsecond, 500 * time.Microsecond, 2 * time.Millisecond, 8 * time.Millisecond}
 	if cfg.Quick {
 		epsilons = []time.Duration{0, 2 * time.Millisecond}
@@ -103,7 +110,7 @@ func runFig1Point(ctx context.Context, cfg Config, eps time.Duration, duration t
 			rejections++
 		}
 	}
-	row := Fig1Row{Epsilon: eps}
+	row := Fig1Row{Epsilon: eps, Attempts: attempts}
 	if attempts > 0 {
 		row.RejectionRate = float64(rejections) / float64(attempts)
 	}

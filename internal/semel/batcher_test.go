@@ -249,6 +249,9 @@ func TestBatcherNonBatchAckFailsPeer(t *testing.T) {
 	}
 }
 
+// TestBatcherCloseFailsPendingWrites closes the batcher with one write in the
+// in-flight flush and one assembled behind it, waiting for the only flush
+// slot: both writers must get an error, not hang.
 func TestBatcherCloseFailsPendingWrites(t *testing.T) {
 	release := make(chan struct{})
 	net := newBatchNet(func(string, wire.ReplicateData) (any, error) {
@@ -257,18 +260,22 @@ func TestBatcherCloseFailsPendingWrites(t *testing.T) {
 	})
 	b := newTestBatcher(t, net, oneSlot)
 
-	errCh := make(chan error, 1)
+	errCh := make(chan error, 2)
 	go func() { errCh <- b.replicate(context.Background(), dataOp("k", 1)) }()
 	time.Sleep(20 * time.Millisecond) // let the op reach the in-flight flush
+	go func() { errCh <- b.replicate(context.Background(), dataOp("k2", 2)) }()
+	time.Sleep(20 * time.Millisecond) // and the next wait for the only flush slot
 	closed := make(chan struct{})
 	go func() { b.close(); close(closed) }()
-	select {
-	case err := <-errCh:
-		if err == nil {
-			t.Fatal("write still waiting at close succeeded spuriously")
+	for range 2 {
+		select {
+		case err := <-errCh:
+			if err == nil {
+				t.Fatal("write still waiting at close succeeded spuriously")
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("write blocked past batcher shutdown")
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("write blocked past batcher shutdown")
 	}
 	close(release)
 	select {

@@ -166,11 +166,9 @@ func (s *Server) recoverFromWAL() error {
 	if err != nil {
 		return err
 	}
-	s.replayRecords = records
-	s.replayNs = int64(time.Since(start))
 	s.mgr.SetRecoveryFloor(s.opt.Clock.Now())
 	s.reg.Gauge("recovery_replay_records").Set(records)
-	s.reg.Gauge("recovery_replay_ns").Set(s.replayNs)
+	s.reg.Gauge("recovery_replay_ns").Set(int64(time.Since(start)))
 	return nil
 }
 

@@ -12,29 +12,14 @@ import (
 func (s *Server) Spans() *obs.SpanStore { return s.spans }
 
 // Watermark reports the replica's current replication watermark (the
-// auditor's truncation source and the audit/timehealth reports read it).
+// auditor's truncation source).
 func (s *Server) Watermark() clock.Timestamp { return s.wm.Watermark() }
 
-// handleStats reports the replica's operation counters and, when Detailed,
-// a full registry snapshot.
-func (s *Server) handleStats(_ context.Context, r wire.StatsRequest) (wire.StatsResponse, error) {
-	resp := wire.StatsResponse{
-		Addr:      s.opt.Addr,
-		Shard:     int(s.opt.Shard),
-		Primary:   s.IsPrimary(),
-		Gets:      s.stats.gets.Load(),
-		Puts:      s.stats.puts.Load(),
-		Deletes:   s.stats.deletes.Load(),
-		Prepares:  s.stats.prepares.Load(),
-		Commits:   s.stats.commits.Load(),
-		Aborts:    s.stats.aborts.Load(),
-		ReplOps:   s.stats.replOps.Load(),
-		Watermark: s.wm.Watermark(),
-	}
-	if r.Detailed {
-		resp.Obs = s.reg.Snapshot()
-	}
-	return resp, nil
+// handleStats answers with the replica's registry snapshot, its sampled
+// gauges refreshed first.
+func (s *Server) handleStats(context.Context, wire.StatsRequest) (wire.StatsResponse, error) {
+	s.refreshGauges()
+	return wire.StatsResponse{Addr: s.opt.Addr, Obs: s.reg.Snapshot()}, nil
 }
 
 // handleTrace returns this replica's spans of one trace, with the clock
@@ -45,10 +30,6 @@ func (s *Server) handleTrace(_ context.Context, r wire.TraceRequest) (wire.Trace
 		Spans: s.spans.ForTrace(r.TraceID),
 		Clock: s.clockHealth(),
 	}, nil
-}
-
-func (s *Server) handleTimeHealth(context.Context, wire.TimeHealthRequest) (wire.TimeHealthResponse, error) {
-	return s.TimeHealth(), nil
 }
 
 // handleTSDB answers from the embedded time-series store, if any.
@@ -63,44 +44,10 @@ func (s *Server) handleTSDB(_ context.Context, r wire.TSDBRequest) (wire.TSDBRes
 	}, nil
 }
 
-// handleAudit reports the attached auditor's state; with no auditor the
-// response reads Enabled=false.
+// handleAudit returns the attached auditor's retained artifacts (none
+// without an auditor); its counters are audit_* series in the registry.
 func (s *Server) handleAudit(context.Context, wire.AuditRequest) (wire.AuditResponse, error) {
-	sum := s.opt.Auditor.Stats()
-	return wire.AuditResponse{
-		Addr:              s.opt.Addr,
-		Enabled:           sum.Enabled,
-		Profile:           sum.Profile,
-		Pending:           sum.Pending,
-		UnknownRetained:   sum.UnknownRetained,
-		WindowsChecked:    sum.WindowsChecked,
-		WindowsSkipped:    sum.WindowsSkipped,
-		Convictions:       sum.Convictions,
-		EpsilonViolations: sum.EpsilonViolations,
-		LastCut:           sum.LastCut,
-		Artifacts:         s.opt.Auditor.ArtifactsJSON(),
-	}, nil
-}
-
-// handleWALStatus reports the log's position and the last recovery replay.
-func (s *Server) handleWALStatus(context.Context, wire.WALStatusRequest) (wire.WALStatusResponse, error) {
-	resp := wire.WALStatusResponse{
-		Addr:          s.opt.Addr,
-		ReplayRecords: s.replayRecords,
-		ReplayNs:      s.replayNs,
-	}
-	if s.opt.Log == nil {
-		return resp, nil
-	}
-	st := s.opt.Log.Stats()
-	resp.Enabled = true
-	resp.AppendedLSN = st.AppendedLSN
-	resp.DurableLSN = st.DurableLSN
-	resp.CheckpointLSN = st.CheckpointLSN
-	resp.Segments = st.Segments
-	resp.Bytes = st.Bytes
-	resp.Fsyncs = st.Fsyncs
-	return resp, nil
+	return wire.AuditResponse{Addr: s.opt.Addr, Artifacts: s.opt.Auditor.ArtifactsJSON()}, nil
 }
 
 // clockHealth reports the local clock's sync state; clocks that cannot
@@ -112,28 +59,29 @@ func (s *Server) clockHealth() clock.Health {
 	return clock.Health{}
 }
 
-// TimeHealth builds this node's time-health report and refreshes the
-// corresponding gauges, so /metrics and /debug/timehealth agree (a loop
-// also refreshes them every second for scrapes).
-func (s *Server) TimeHealth() wire.TimeHealthResponse {
+// refreshGauges sets the gauges that sample state rather than count events
+// — clock health, watermark and its lag, role, the WAL's appended position —
+// so a snapshot reads them current. The 1 s loop runs it for scrapes, and
+// handleStats before it snapshots.
+func (s *Server) refreshGauges() {
 	h := s.clockHealth()
-	now := s.opt.Clock.Now()
-	wm := s.wm.Watermark()
-	resp := wire.TimeHealthResponse{
-		Addr:      s.opt.Addr,
-		Shard:     int(s.opt.Shard),
-		Primary:   s.IsPrimary(),
-		Clock:     h,
-		Now:       now,
-		Watermark: wm,
-	}
-	if !wm.IsZero() {
-		resp.WatermarkLagNs = now.Ticks - wm.Ticks
-	}
 	s.om.clockOffset.Set(h.OffsetNs)
+	s.om.clockResidual.Set(h.ResidualNs)
 	s.om.clockDrift.Set(h.DriftNs)
 	s.om.clockUncertainty.Set(h.UncertaintyNs)
 	s.om.clockSinceSync.Set(h.SinceSyncNs)
-	s.om.watermarkLag.Set(resp.WatermarkLagNs)
-	return resp
+	var lag int64
+	if wm := s.wm.Watermark(); !wm.IsZero() {
+		s.om.watermarkTs.SetMax(wm.Ticks)
+		lag = s.opt.Clock.Now().Ticks - wm.Ticks
+	}
+	s.om.watermarkLag.Set(lag)
+	var primary int64
+	if s.IsPrimary() {
+		primary = 1
+	}
+	s.om.primary.Set(primary)
+	if s.om.walAppended != nil {
+		s.om.walAppended.Set(int64(s.opt.Log.Stats().AppendedLSN))
+	}
 }

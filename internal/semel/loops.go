@@ -8,7 +8,7 @@ import (
 )
 
 // startLoops launches lease renewal, the prepared-transaction sweep,
-// anti-entropy and the time-health refresh; each body guards its own role.
+// anti-entropy and the gauge refresh; each body guards its own role.
 func (s *Server) startLoops() {
 	if s.opt.LeaseDuration > 0 {
 		s.every(s.opt.LeaseDuration/4, s.renewLease)
@@ -17,7 +17,7 @@ func (s *Server) startLoops() {
 	if s.opt.AntiEntropyInterval > 0 {
 		s.every(s.opt.AntiEntropyInterval, s.antiEntropyOnce)
 	}
-	s.every(time.Second, func() { s.TimeHealth() })
+	s.every(time.Second, s.refreshGauges)
 }
 
 // every runs body once per period on its own goroutine until Close.

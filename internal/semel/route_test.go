@@ -55,10 +55,8 @@ func TestRouteTable(t *testing.T) {
 		{wire.ReplicatePrepare{}, "replicate-prepare", "", control},
 		{wire.ReplicateDecision{}, "replicate-decision", "", control},
 		{wire.LeaseRequest{}, "", "", control},
-		{wire.WALStatusRequest{}, "", "", control},
 		{wire.StatsRequest{}, "", "", control},
 		{wire.TraceRequest{}, "", "", control},
-		{wire.TimeHealthRequest{}, "", "", control},
 		{wire.TSDBRequest{}, "", "", control},
 		{wire.AuditRequest{}, "", "", control},
 		{wire.RecoveryPullRequest{}, "", "", control},

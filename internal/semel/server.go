@@ -71,7 +71,7 @@ type ServerOptions struct {
 	// 0 means 1 s; negative disables.
 	AntiEntropyInterval time.Duration
 	// Metrics is the server's observability registry. Nil means the
-	// server creates its own, so StatsRequest{Detailed} always has data.
+	// server creates its own, so StatsRequest always has data.
 	Metrics *obs.Registry
 	// SlowRequestThreshold makes any RPC whose serve latency exceeds it
 	// log one structured line including its trace ID, so traces and logs
@@ -122,11 +122,6 @@ type ServerOptions struct {
 	Admission *resilience.Admission
 }
 
-// serverStats holds the replica's operation counters (see wire.StatsResponse).
-type serverStats struct {
-	gets, puts, deletes, prepares, commits, aborts, replOps atomic.Int64
-}
-
 // serverMetrics holds the replica's pre-created metric handles, so the
 // request hot path touches only atomics — no registry lookups. The
 // per-request-type service histograms live in the route table.
@@ -136,10 +131,17 @@ type serverMetrics struct {
 	watermarkTs  *obs.Gauge
 	slowRequests *obs.Counter
 
-	// time-health gauges (§2.1: transaction behaviour is a function of
-	// clock precision, so the clock's sync state is first-class telemetry).
-	clockOffset, clockDrift, clockUncertainty *obs.Gauge
-	clockSinceSync, watermarkLag              *obs.Gauge
+	// commits and aborts count the decisions this replica learns as a
+	// participant's primary; replOps counts data ops delivered to it as a
+	// backup.
+	commits, aborts, replOps *obs.Counter
+
+	// Sampled state, set by refreshGauges. Time health comes first (§2.1:
+	// transaction behaviour is a function of clock precision, so the
+	// clock's sync state is first-class telemetry); walAppended is nil
+	// without a WAL.
+	clockOffset, clockResidual, clockDrift, clockUncertainty *obs.Gauge
+	clockSinceSync, watermarkLag, primary, walAppended       *obs.Gauge
 }
 
 // traceRing bounds the ring of spans each server retains for TraceRequest
@@ -151,7 +153,6 @@ type Server struct {
 	opt    ServerOptions
 	mgr    *milana.Manager
 	wm     *clock.WatermarkTracker
-	stats  serverStats
 	reg    *obs.Registry
 	om     serverMetrics
 	routes routes
@@ -161,12 +162,10 @@ type Server struct {
 	// WAL state (opt.Log != nil). walSinceCkpt counts records appended
 	// since the last checkpoint; walCkptBusy admits one checkpoint writer
 	// at a time; walSkipSync is the fsync-skipping durability mutation
-	// (tests only). replayRecords/replayNs describe the cold-start replay.
-	walSinceCkpt  atomic.Int64
-	walCkptBusy   atomic.Bool
-	walSkipSync   atomic.Bool
-	replayRecords int64
-	replayNs      int64
+	// (tests only).
+	walSinceCkpt atomic.Int64
+	walCkptBusy  atomic.Bool
+	walSkipSync  atomic.Bool
 
 	// senders runs replication sends on parked goroutines (see replJob).
 	senders *park.Pool[replJob]
@@ -213,12 +212,20 @@ func NewServer(opt ServerOptions) (*Server, error) {
 		commitWait:   s.reg.Histogram("semel_commit_wait_ns"),
 		watermarkTs:  s.reg.Gauge("semel_watermark_ticks"),
 		slowRequests: s.reg.Counter("semel_slow_requests_total"),
+		commits:      s.reg.Counter("semel_commits_total"),
+		aborts:       s.reg.Counter("semel_aborts_total"),
+		replOps:      s.reg.Counter("semel_replicated_ops_total"),
 
 		clockOffset:      s.reg.Gauge("clock_offset_ns"),
+		clockResidual:    s.reg.Gauge("clock_residual_ns"),
 		clockDrift:       s.reg.Gauge("clock_drift_since_sync_ns"),
 		clockUncertainty: s.reg.Gauge("clock_uncertainty_ns"),
 		clockSinceSync:   s.reg.Gauge("clock_since_sync_ns"),
 		watermarkLag:     s.reg.Gauge("semel_watermark_lag_ns"),
+		primary:          s.reg.Gauge("semel_primary"),
+	}
+	if opt.Log != nil {
+		s.om.walAppended = s.reg.Gauge("wal_appended_lsn")
 	}
 	s.routes = newRoutes(s)
 	s.spans = obs.NewSpanStore(opt.Addr, traceRing)
@@ -300,7 +307,6 @@ func (s *Server) CallPrimary(ctx context.Context, shard int, req any) (any, erro
 type route struct {
 	name  string              // span and slow-request name; "" records neither
 	hist  *obs.Histogram      // semel_serve_ns{op=...}; nil leaves the type untimed
-	stat  *atomic.Int64       // counts each request; nil where the handler counts
 	pri   resilience.Priority // admission class; the zero value is control
 	serve func(context.Context, any) (any, error)
 }
@@ -308,8 +314,7 @@ type route struct {
 // routes holds one route per request type Serve answers.
 type routes struct {
 	replicated, get, multiGet, put, delete, replData, watermark, prepare, decision, status,
-	replPrepare, replDecision, lease, walStatus, stats, trace, timeHealth, tsdb, audit,
-	recoveryPull route
+	replPrepare, replDecision, lease, stats, trace, tsdb, audit, recoveryPull route
 }
 
 // newRoutes builds s's route table. Replication and infrastructure rows are
@@ -321,10 +326,10 @@ func newRoutes(s *Server) routes {
 	read, prepare := resilience.PriRead, resilience.PriPrepare
 	return routes{
 		replicated:   route{serve: handler(s.handleReplicated)},
-		get:          route{name: "get", hist: hist("get"), stat: &s.stats.gets, pri: read, serve: handler(s.handleGet)},
+		get:          route{name: "get", hist: hist("get"), pri: read, serve: handler(s.handleGet)},
 		multiGet:     route{name: "multiget", hist: hist("multiget"), pri: read, serve: handler(s.handleMultiGet)},
-		put:          route{name: "put", hist: hist("put"), stat: &s.stats.puts, pri: read, serve: handler(s.handlePut)},
-		delete:       route{name: "delete", hist: hist("delete"), stat: &s.stats.deletes, pri: read, serve: handler(s.handleDelete)},
+		put:          route{name: "put", hist: hist("put"), pri: read, serve: handler(s.handlePut)},
+		delete:       route{name: "delete", hist: hist("delete"), pri: read, serve: handler(s.handleDelete)},
 		replData:     route{hist: hist("replicate-data"), serve: handler(s.handleReplicateData)},
 		watermark:    route{serve: handler(s.handleWatermark)},
 		prepare:      route{name: "prepare", hist: hist("prepare"), pri: prepare, serve: handler(s.handlePrepare)},
@@ -333,10 +338,8 @@ func newRoutes(s *Server) routes {
 		replPrepare:  route{name: "replicate-prepare", serve: handler(s.handleReplicatePrepare)},
 		replDecision: route{name: "replicate-decision", serve: handler(s.handleReplicateDecision)},
 		lease:        route{serve: handler(s.handleLease)},
-		walStatus:    route{serve: handler(s.handleWALStatus)},
 		stats:        route{serve: handler(s.handleStats)},
 		trace:        route{serve: handler(s.handleTrace)},
-		timeHealth:   route{serve: handler(s.handleTimeHealth)},
 		tsdb:         route{serve: handler(s.handleTSDB)},
 		audit:        route{serve: handler(s.handleAudit)},
 		recoveryPull: route{serve: handler(s.handleRecoveryPull)},
@@ -376,14 +379,10 @@ func (t *routes) of(req any) *route {
 		return &t.replDecision
 	case wire.LeaseRequest:
 		return &t.lease
-	case wire.WALStatusRequest:
-		return &t.walStatus
 	case wire.StatsRequest:
 		return &t.stats
 	case wire.TraceRequest:
 		return &t.trace
-	case wire.TimeHealthRequest:
-		return &t.timeHealth
 	case wire.TSDBRequest:
 		return &t.tsdb
 	case wire.AuditRequest:
@@ -402,7 +401,7 @@ func handler[Req, Resp any](f func(context.Context, Req) (Resp, error)) func(con
 }
 
 // Serve handles one request; it implements transport.Handler. The route
-// decides admission, counting, timing and the span. When the caller's
+// decides admission, timing and the span. When the caller's
 // context carries a sampled trace, the server records a span stamped with
 // its *own* clock — skew and all; the collector aligns it later — and
 // re-parents the context so downstream fan-out (replication) nests beneath
@@ -421,9 +420,6 @@ func (s *Server) Serve(ctx context.Context, req any) (any, error) {
 			return nil, err
 		}
 		defer a.Done()
-	}
-	if rt.stat != nil {
-		rt.stat.Add(1)
 	}
 	rec := obs.ReqFrom(ctx)
 	tc, traced := rec.TraceContext, rec.Sampled
@@ -532,7 +528,6 @@ func (s *Server) handleGet(ctx context.Context, r wire.GetRequest) (wire.GetResp
 // phase's wall time is charged to the ledger once; parks stay unattributed,
 // as in handleGet.
 func (s *Server) handleMultiGet(ctx context.Context, r wire.MultiGetRequest) (wire.MultiGetResponse, error) {
-	s.stats.gets.Add(int64(len(r.Keys)))
 	prepared := make([]bool, len(r.Keys))
 	if err := s.admitReads(ctx, r.Keys, r.At, r.AnyReplica, prepared); err != nil {
 		return wire.MultiGetResponse{}, err
@@ -655,7 +650,6 @@ func (s *Server) handlePrepare(ctx context.Context, r wire.PrepareRequest) (wire
 	// Feed the commit-wait monitor at the earliest observable instant:
 	// request receipt, stamped with this replica's own clock.
 	s.opt.Auditor.ObservePrepare(r.ID, r.CommitTs, s.opt.Clock.Now())
-	s.stats.prepares.Add(1)
 	if cw := s.opt.CommitWait; cw > 0 {
 		// Opt-in server-side commit-wait: hold the prepare until this
 		// replica's clock clears CommitTs+ε, so the wait's true cost at
@@ -670,9 +664,9 @@ func (s *Server) handlePrepare(ctx context.Context, r wire.PrepareRequest) (wire
 	resp, err := s.mgr.Prepare(ctx, r)
 	switch {
 	case err == nil && !resp.OK:
-		s.stats.aborts.Add(1)
+		s.om.aborts.Inc()
 	case err == nil && len(r.Participants) <= 1:
-		s.stats.commits.Add(1)
+		s.om.commits.Inc()
 	}
 	return resp, err
 }
@@ -682,9 +676,9 @@ func (s *Server) handlePrepare(ctx context.Context, r wire.PrepareRequest) (wire
 // arrives by.
 func (s *Server) handleDecision(ctx context.Context, r wire.DecisionRequest) (wire.DecisionResponse, error) {
 	if r.Commit {
-		s.stats.commits.Add(1)
+		s.om.commits.Inc()
 	} else {
-		s.stats.aborts.Add(1)
+		s.om.aborts.Inc()
 	}
 	return s.mgr.Decision(ctx, r)
 }
@@ -726,7 +720,7 @@ func (s *Server) handleReplicateDecision(ctx context.Context, r wire.ReplicateDe
 // answer is a per-op BatchAck so the primary's batcher can demultiplex
 // quorums: one rejected op must not fail its batchmates.
 func (s *Server) handleReplicateData(_ context.Context, r wire.ReplicateData) (any, error) {
-	s.stats.replOps.Add(int64(len(r.Ops)))
+	s.om.replOps.Add(int64(len(r.Ops)))
 	errs := make([]string, len(r.Ops))
 	// Each op's outcome lands in errs, so ForEach itself has none to return.
 	_ = storage.ForEach(s.opt.Backend, len(r.Ops), func(i int) error {

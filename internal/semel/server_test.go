@@ -192,11 +192,12 @@ func TestStatsCounters(t *testing.T) {
 	if !ok {
 		t.Fatalf("resp = %T", resp)
 	}
-	if !st.Primary || st.Shard != 0 || st.Addr != core.Addr(0, 0) {
-		t.Fatalf("identity wrong: %+v", st)
+	if st.Addr != core.Addr(0, 0) || st.Obs.Gauges["semel_primary"] != 1 {
+		t.Fatalf("identity wrong: addr %q, semel_primary %d", st.Addr, st.Obs.Gauges["semel_primary"])
 	}
-	if st.Puts != 1 || st.Gets != 1 {
-		t.Fatalf("counters = %+v", st)
+	puts, gets := st.Obs.Hists[`semel_serve_ns{op="put"}`].Count, st.Obs.Hists[`semel_serve_ns{op="get"}`].Count
+	if puts != 1 || gets != 1 {
+		t.Fatalf("puts=%d gets=%d, want 1 and 1", puts, gets)
 	}
 	// Backups count replicated ops; the second delivery completes in the
 	// background, so poll briefly.
@@ -207,14 +208,14 @@ func TestStatsCounters(t *testing.T) {
 			t.Fatal(err)
 		}
 		bst := resp.(wire.StatsResponse)
-		if bst.Primary {
-			t.Fatalf("backup claims primary: %+v", bst)
+		if bst.Obs.Gauges["semel_primary"] != 0 {
+			t.Fatalf("backup %s claims primary", bst.Addr)
 		}
-		if bst.ReplOps > 0 {
+		if bst.Obs.Counters["semel_replicated_ops_total"] > 0 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("backup never counted replicated ops: %+v", bst)
+			t.Fatalf("backup %s never counted replicated ops", bst.Addr)
 		}
 		time.Sleep(time.Millisecond)
 	}

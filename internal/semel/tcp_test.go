@@ -77,8 +77,8 @@ func TestTCPEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if w := resp.(wire.StatsResponse).Watermark; w != wm {
-			t.Fatalf("replica %s watermark %v, want %v", addr, w, wm)
+		if w := resp.(wire.StatsResponse).Obs.Gauges["semel_watermark_ticks"]; w != wm.Ticks {
+			t.Fatalf("replica %s watermark %d, want %d", addr, w, wm.Ticks)
 		}
 	}
 }

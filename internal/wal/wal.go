@@ -91,7 +91,8 @@ type Options struct {
 	Metrics *obs.Registry
 }
 
-// Stats is a point-in-time snapshot of the log (WALStatusResponse feed).
+// Stats is a point-in-time snapshot of the log (semel's wal_appended_lsn
+// gauge and the repository benchmark read it).
 type Stats struct {
 	AppendedLSN   uint64 // last assigned LSN
 	DurableLSN    uint64 // last fsynced LSN

@@ -87,19 +87,23 @@ const (
 	tRecoveryPullResponse
 	_ // 26, 27: retired (PromoteRequest/PromoteResponse); never reuse
 	_
-	tStatsRequest
-	tStatsResponse
+	_ // 28, 29: retired (StatsRequest/StatsResponse v1, with counters); never reuse
+	_
 	tTraceRequest
 	tTraceResponse
-	tTimeHealthRequest
-	tTimeHealthResponse
-	tAuditRequest
-	tAuditResponse
+	_ // 32, 33: retired (TimeHealthRequest/TimeHealthResponse); never reuse
+	_
+	_ // 34, 35: retired (AuditRequest/AuditResponse v1, with a summary); never reuse
+	_
 	tTSDBRequest
 	tTSDBResponse
 	tWALCheckpoint
-	tWALStatusRequest
-	tWALStatusResponse
+	_ // 39, 40: retired (WALStatusRequest/WALStatusResponse); never reuse
+	_
+	tStatsRequest
+	tStatsResponse
+	tAuditRequest
+	tAuditResponse
 )
 
 var (
@@ -367,10 +371,8 @@ func appendMessage(b []byte, msg any) ([]byte, error) {
 		return appendRecoveryPullResponse(au(b, tRecoveryPullResponse), &m), nil
 	case *RecoveryPullResponse:
 		return appendRecoveryPullResponse(au(b, tRecoveryPullResponse), m), nil
-	case StatsRequest:
-		return aBool(au(b, tStatsRequest), m.Detailed), nil
-	case *StatsRequest:
-		return aBool(au(b, tStatsRequest), m.Detailed), nil
+	case StatsRequest, *StatsRequest:
+		return au(b, tStatsRequest), nil
 	case StatsResponse:
 		return appendStatsResponse(au(b, tStatsResponse), &m), nil
 	case *StatsResponse:
@@ -383,17 +385,7 @@ func appendMessage(b []byte, msg any) ([]byte, error) {
 		return appendTraceResponse(au(b, tTraceResponse), &m), nil
 	case *TraceResponse:
 		return appendTraceResponse(au(b, tTraceResponse), m), nil
-	case TimeHealthRequest:
-		return au(b, tTimeHealthRequest), nil
-	case *TimeHealthRequest:
-		return au(b, tTimeHealthRequest), nil
-	case TimeHealthResponse:
-		return appendTimeHealthResponse(au(b, tTimeHealthResponse), &m), nil
-	case *TimeHealthResponse:
-		return appendTimeHealthResponse(au(b, tTimeHealthResponse), m), nil
-	case AuditRequest:
-		return au(b, tAuditRequest), nil
-	case *AuditRequest:
+	case AuditRequest, *AuditRequest:
 		return au(b, tAuditRequest), nil
 	case AuditResponse:
 		return appendAuditResponse(au(b, tAuditResponse), &m), nil
@@ -411,14 +403,6 @@ func appendMessage(b []byte, msg any) ([]byte, error) {
 		return appendWALCheckpoint(au(b, tWALCheckpoint), &m), nil
 	case *WALCheckpoint:
 		return appendWALCheckpoint(au(b, tWALCheckpoint), m), nil
-	case WALStatusRequest:
-		return au(b, tWALStatusRequest), nil
-	case *WALStatusRequest:
-		return au(b, tWALStatusRequest), nil
-	case WALStatusResponse:
-		return appendWALStatusResponse(au(b, tWALStatusResponse), &m), nil
-	case *WALStatusResponse:
-		return appendWALStatusResponse(au(b, tWALStatusResponse), m), nil
 	default:
 		return b, transport.ErrUnsupportedType
 	}
@@ -491,17 +475,13 @@ func decMessage(r *reader) (any, error) {
 	case tRecoveryPullResponse:
 		v = decRecoveryPullResponse(r)
 	case tStatsRequest:
-		v = StatsRequest{Detailed: r.bool()}
+		v = StatsRequest{}
 	case tStatsResponse:
 		v = decStatsResponse(r)
 	case tTraceRequest:
 		v = TraceRequest{TraceID: r.uvarint()}
 	case tTraceResponse:
 		v = decTraceResponse(r)
-	case tTimeHealthRequest:
-		v = TimeHealthRequest{}
-	case tTimeHealthResponse:
-		v = decTimeHealthResponse(r)
 	case tAuditRequest:
 		v = AuditRequest{}
 	case tAuditResponse:
@@ -512,10 +492,6 @@ func decMessage(r *reader) (any, error) {
 		v = decTSDBResponse(r)
 	case tWALCheckpoint:
 		v = decWALCheckpoint(r)
-	case tWALStatusRequest:
-		v = WALStatusRequest{}
-	case tWALStatusResponse:
-		v = decWALStatusResponse(r)
 	default:
 		return nil, fmt.Errorf("%w: %d", errUnknownType, id)
 	}
@@ -853,35 +829,7 @@ func decWALCheckpoint(r *reader) WALCheckpoint {
 	return m
 }
 
-func appendWALStatusResponse(b []byte, m *WALStatusResponse) []byte {
-	b = aStr(b, m.Addr)
-	b = aBool(b, m.Enabled)
-	b = au(b, m.AppendedLSN)
-	b = au(b, m.DurableLSN)
-	b = au(b, m.CheckpointLSN)
-	b = ai(b, int64(m.Segments))
-	b = ai(b, m.Bytes)
-	b = ai(b, m.Fsyncs)
-	b = ai(b, m.ReplayRecords)
-	return ai(b, m.ReplayNs)
-}
-
-func decWALStatusResponse(r *reader) WALStatusResponse {
-	return WALStatusResponse{
-		Addr:          r.str(),
-		Enabled:       r.bool(),
-		AppendedLSN:   r.uvarint(),
-		DurableLSN:    r.uvarint(),
-		CheckpointLSN: r.uvarint(),
-		Segments:      int(r.varint()),
-		Bytes:         r.varint(),
-		Fsyncs:        r.varint(),
-		ReplayRecords: r.varint(),
-		ReplayNs:      r.varint(),
-	}
-}
-
-// ---- obs/clock composites (stats, traces, health, audit) ----
+// ---- obs/clock composites (stats, traces, audit) ----
 
 func sortedKeys[V any](m map[string]V) []string {
 	ks := make([]string, 0, len(m))
@@ -970,35 +918,11 @@ func decSnapshot(r *reader) obs.Snapshot {
 }
 
 func appendStatsResponse(b []byte, m *StatsResponse) []byte {
-	b = aStr(b, m.Addr)
-	b = ai(b, int64(m.Shard))
-	b = aBool(b, m.Primary)
-	b = ai(b, m.Gets)
-	b = ai(b, m.Puts)
-	b = ai(b, m.Deletes)
-	b = ai(b, m.Prepares)
-	b = ai(b, m.Commits)
-	b = ai(b, m.Aborts)
-	b = ai(b, m.ReplOps)
-	b = aTs(b, m.Watermark)
-	return appendSnapshot(b, &m.Obs)
+	return appendSnapshot(aStr(b, m.Addr), &m.Obs)
 }
 
 func decStatsResponse(r *reader) StatsResponse {
-	return StatsResponse{
-		Addr:      r.str(),
-		Shard:     int(r.varint()),
-		Primary:   r.bool(),
-		Gets:      r.varint(),
-		Puts:      r.varint(),
-		Deletes:   r.varint(),
-		Prepares:  r.varint(),
-		Commits:   r.varint(),
-		Aborts:    r.varint(),
-		ReplOps:   r.varint(),
-		Watermark: r.ts(),
-		Obs:       decSnapshot(r),
-	}
+	return StatsResponse{Addr: r.str(), Obs: decSnapshot(r)}
 }
 
 func appendHealth(b []byte, h *clock.Health) []byte {
@@ -1058,39 +982,8 @@ func decTraceResponse(r *reader) TraceResponse {
 	return m
 }
 
-func appendTimeHealthResponse(b []byte, m *TimeHealthResponse) []byte {
-	b = aStr(b, m.Addr)
-	b = ai(b, int64(m.Shard))
-	b = aBool(b, m.Primary)
-	b = appendHealth(b, &m.Clock)
-	b = aTs(b, m.Now)
-	b = aTs(b, m.Watermark)
-	return ai(b, m.WatermarkLagNs)
-}
-
-func decTimeHealthResponse(r *reader) TimeHealthResponse {
-	return TimeHealthResponse{
-		Addr:           r.str(),
-		Shard:          int(r.varint()),
-		Primary:        r.bool(),
-		Clock:          decHealth(r),
-		Now:            r.ts(),
-		Watermark:      r.ts(),
-		WatermarkLagNs: r.varint(),
-	}
-}
-
 func appendAuditResponse(b []byte, m *AuditResponse) []byte {
 	b = aStr(b, m.Addr)
-	b = aBool(b, m.Enabled)
-	b = aStr(b, m.Profile)
-	b = ai(b, int64(m.Pending))
-	b = ai(b, int64(m.UnknownRetained))
-	b = ai(b, m.WindowsChecked)
-	b = ai(b, m.WindowsSkipped)
-	b = ai(b, m.Convictions)
-	b = ai(b, m.EpsilonViolations)
-	b = aTs(b, m.LastCut)
 	b = aLen(b, len(m.Artifacts), m.Artifacts == nil)
 	for _, a := range m.Artifacts {
 		b = aBytes(b, a)
@@ -1099,18 +992,7 @@ func appendAuditResponse(b []byte, m *AuditResponse) []byte {
 }
 
 func decAuditResponse(r *reader) AuditResponse {
-	m := AuditResponse{
-		Addr:              r.str(),
-		Enabled:           r.bool(),
-		Profile:           r.str(),
-		Pending:           int(r.varint()),
-		UnknownRetained:   int(r.varint()),
-		WindowsChecked:    r.varint(),
-		WindowsSkipped:    r.varint(),
-		Convictions:       r.varint(),
-		EpsilonViolations: r.varint(),
-		LastCut:           r.ts(),
-	}
+	m := AuditResponse{Addr: r.str()}
 	n, isNil := r.length()
 	if !isNil {
 		m.Artifacts = make([][]byte, n)

@@ -24,9 +24,9 @@ func FuzzCodecRoundTrip(f *testing.F) {
 			f.Add(buf, int64(1), uint32(2), true, []byte("k"), []byte("v"))
 		}
 	}
-	// Frames of the retired type ids 26 and 27 (PromoteRequest and
-	// PromoteResponse): the adversarial direction must reject them.
-	for _, id := range []byte{26, 27} {
+	// Frames of the retired type ids: the adversarial direction must
+	// reject them.
+	for _, id := range retiredTypeIDs {
 		f.Add([]byte{id}, int64(1), uint32(2), true, []byte("k"), []byte("v"))
 	}
 	f.Fuzz(func(t *testing.T, raw []byte, ticks int64, client uint32, flag bool, key, val []byte) {

@@ -67,35 +67,11 @@ func codecExemplars() []any {
 			Data:        []DataOp{{Key: []byte("d"), Val: []byte("dv"), Version: ts(2, 2)}},
 			LeaseExpiry: ts(3, 3),
 		},
-		StatsRequest{Detailed: true},
-		StatsResponse{
-			Addr: "a:1", Shard: 2, Primary: true,
-			Gets: 1, Puts: 2, Deletes: 3, Prepares: 4, Commits: 5, Aborts: 6, ReplOps: 7,
-			Watermark: ts(88, 1),
-			Obs: obs.Snapshot{
-				Counters: map[string]int64{"c1": 10, "c2": -2},
-				Gauges:   map[string]int64{"g": 5},
-				Hists: map[string]obs.HistogramSnapshot{
-					"h": {Count: 2, Sum: 30, Buckets: []obs.Bucket{{Idx: 4, N: 2, Exemplar: 19}}},
-				},
-			},
-		},
 		TraceRequest{TraceID: 77},
 		TraceResponse{
 			Addr:  "n1",
 			Spans: []obs.SpanRecord{{TraceID: 1, SpanID: 2, Parent: 3, Node: "n1", Name: "get", Start: 10, End: 20, Outcome: "ok"}},
 			Clock: clock.Health{OffsetNs: 1, ResidualNs: -2, DriftNs: 3, SinceSyncNs: 4, UncertaintyNs: 5},
-		},
-		TimeHealthRequest{},
-		TimeHealthResponse{
-			Addr: "n2", Shard: 1, Clock: clock.Health{OffsetNs: -1},
-			Now: ts(50, 2), Watermark: ts(40, 2), WatermarkLagNs: 10,
-		},
-		AuditRequest{},
-		AuditResponse{
-			Addr: "n3", Enabled: true, Profile: "DTP", Pending: 1, UnknownRetained: 2,
-			WindowsChecked: 3, WindowsSkipped: 4, Convictions: 5, EpsilonViolations: 6,
-			LastCut: ts(60, 3), Artifacts: [][]byte{[]byte("{}")},
 		},
 		TSDBRequest{Patterns: []string{"stage_ledger", "aborts"}, LastN: 30},
 		TSDBResponse{
@@ -114,11 +90,19 @@ func codecExemplars() []any {
 			}},
 			Data: []DataOp{{Key: []byte("a"), Val: []byte("1"), Version: ts(80, 5)}},
 		},
-		WALStatusRequest{},
-		WALStatusResponse{
-			Addr: "n5", Enabled: true, AppendedLSN: 12, DurableLSN: 11, CheckpointLSN: 8,
-			Segments: 2, Bytes: 4096, Fsyncs: 7, ReplayRecords: 3, ReplayNs: 1500,
+		StatsRequest{},
+		StatsResponse{
+			Addr: "a:1",
+			Obs: obs.Snapshot{
+				Counters: map[string]int64{"c1": 10, "c2": -2},
+				Gauges:   map[string]int64{"g": 5},
+				Hists: map[string]obs.HistogramSnapshot{
+					"h": {Count: 2, Sum: 30, Buckets: []obs.Bucket{{Idx: 4, N: 2, Exemplar: 19}}},
+				},
+			},
 		},
+		AuditRequest{},
+		AuditResponse{Addr: "n3", Artifacts: [][]byte{[]byte("{}")}},
 	}
 }
 
@@ -166,20 +150,13 @@ func roundTripExtras() []any {
 		TraceResponse{Addr: "shard0/r1",
 			Spans: []obs.SpanRecord{{TraceID: 11, SpanID: 2, Parent: 1, Node: "shard0/r1", Name: "serve", Start: 5, End: 9, Outcome: "ok"}},
 			Clock: clock.Health{OffsetNs: 120, ResidualNs: 50, DriftNs: 10, SinceSyncNs: 100, UncertaintyNs: 60}},
-		TimeHealthRequest{},
-		TimeHealthResponse{Addr: "shard0/r0", Shard: 0, Primary: true,
-			Clock: clock.Health{OffsetNs: -40, ResidualNs: -20, UncertaintyNs: 20},
-			Now:   ts, Watermark: clock.Timestamp{Ticks: 90, Client: 3}, WatermarkLagNs: 9},
 		AuditRequest{},
-		AuditResponse{Addr: "shard0/r0", Enabled: true, Profile: "ntp",
-			Pending: 3, UnknownRetained: 1, WindowsChecked: 4, WindowsSkipped: 2,
-			Convictions: 1, EpsilonViolations: 2, LastCut: ts,
-			Artifacts: [][]byte{[]byte(`{"kind":"conviction"}`)}},
+		AuditResponse{Addr: "shard0/r0", Artifacts: [][]byte{[]byte(`{"kind":"conviction"}`)}},
 		TSDBRequest{Patterns: []string{"semel_"}, LastN: 10},
 		TSDBResponse{Addr: "shard0/r0", IntervalNs: 1e9,
 			Series: []obs.SeriesDump{{Name: "semel_watermark_lag_ns", Seq: 3, First: 7, Deltas: []int64{1, -2}}}},
-		StatsRequest{Detailed: true},
-		StatsResponse{Addr: "a", Primary: true, Gets: 5, Watermark: ts,
+		StatsRequest{},
+		StatsResponse{Addr: "a",
 			Obs: obs.Snapshot{
 				Counters: map[string]int64{`milana_aborts_total{reason="READ_STALE"}`: 2},
 				Gauges:   map[string]int64{"semel_watermark_ticks": 99},
@@ -190,9 +167,6 @@ func roundTripExtras() []any {
 		WALCheckpoint{Epoch: 4, Watermark: ts, LeasePrimary: "shard0/r0", LeaseExpiry: ts,
 			Txns: []TxnRecord{{ID: TxnID{Client: 2, Seq: 5}, CommitTs: ts, WriteSet: []KV{{Key: []byte("k"), Val: []byte("v")}}, Status: StatusCommitted}},
 			Data: []DataOp{{Key: []byte("d"), Val: []byte("1"), Version: ts}}},
-		WALStatusRequest{},
-		WALStatusResponse{Addr: "shard0/r1", Enabled: true, AppendedLSN: 20, DurableLSN: 19,
-			CheckpointLSN: 12, Segments: 3, Bytes: 999, Fsyncs: 5, ReplayRecords: 8, ReplayNs: 1234},
 
 		ReplicateData{Ops: []DataOp{
 			{Key: []byte("a"), Version: ts, TC: tc},
@@ -204,10 +178,6 @@ func roundTripExtras() []any {
 			Node: "shard0/r1", Name: "replicate-op",
 			Start: 100, End: 250, Outcome: "ok",
 		}}},
-		TimeHealthResponse{
-			Addr: "shard1/r0", Shard: 1, Primary: true,
-			Clock: health, Now: ts, Watermark: clock.Timestamp{Ticks: 42}, WatermarkLagNs: 57,
-		},
 		StatsResponse{Addr: "live", Obs: reg.Snapshot()},
 	}
 }
@@ -385,21 +355,17 @@ func TestCodecTypeIDsFrozen(t *testing.T) {
 		"wire.LeaseResponse":        23,
 		"wire.RecoveryPullRequest":  24,
 		"wire.RecoveryPullResponse": 25,
-		// 26, 27: PromoteRequest/PromoteResponse, retired; their ids stay
-		// reserved and decode as unknown (TestCodecRetiredTypeIDs).
-		"wire.StatsRequest":       28,
-		"wire.StatsResponse":      29,
-		"wire.TraceRequest":       30,
-		"wire.TraceResponse":      31,
-		"wire.TimeHealthRequest":  32,
-		"wire.TimeHealthResponse": 33,
-		"wire.AuditRequest":       34,
-		"wire.AuditResponse":      35,
-		"wire.TSDBRequest":        36,
-		"wire.TSDBResponse":       37,
-		"wire.WALCheckpoint":      38,
-		"wire.WALStatusRequest":   39,
-		"wire.WALStatusResponse":  40,
+		// 26–29, 32–35, 39, 40: retired (retiredTypeIDs); they stay reserved
+		// and decode as unknown (TestCodecRetiredTypeIDs).
+		"wire.TraceRequest":  30,
+		"wire.TraceResponse": 31,
+		"wire.TSDBRequest":   36,
+		"wire.TSDBResponse":  37,
+		"wire.WALCheckpoint": 38,
+		"wire.StatsRequest":  41,
+		"wire.StatsResponse": 42,
+		"wire.AuditRequest":  43,
+		"wire.AuditResponse": 44,
 	}
 	seen := map[string]bool{}
 	for _, m := range codecExemplars() {
@@ -427,11 +393,19 @@ func TestCodecTypeIDsFrozen(t *testing.T) {
 	}
 }
 
-// TestCodecRetiredTypeIDs pins that a retired type id stays retired: 26 and
-// 27 (the old PromoteRequest/PromoteResponse, whose work semel.Server.Promote
-// does in-process) decode as an unknown type, never as a newer message.
+// retiredTypeIDs are type ids no message may take again: 26/27
+// (PromoteRequest/PromoteResponse, whose work semel.Server.Promote does
+// in-process), 28/29 and 34/35 (StatsRequest/StatsResponse and
+// AuditRequest/AuditResponse before they were reshaped to 41–44), 32/33
+// (TimeHealthRequest/TimeHealthResponse) and 39/40
+// (WALStatusRequest/WALStatusResponse); the last two pairs' numbers are
+// registry series in the StatsResponse snapshot.
+var retiredTypeIDs = []byte{26, 27, 28, 29, 32, 33, 34, 35, 39, 40}
+
+// TestCodecRetiredTypeIDs pins that a retired type id stays retired: each
+// decodes as an unknown type, never as a newer message.
 func TestCodecRetiredTypeIDs(t *testing.T) {
-	for _, id := range []byte{26, 27} {
+	for _, id := range retiredTypeIDs {
 		if _, err := Codec.Decode([]byte{id}); !errors.Is(err, errUnknownType) {
 			t.Errorf("decode of retired type id %d: err = %v, want %v", id, err, errUnknownType)
 		}
@@ -456,7 +430,8 @@ func TestCodecGoldenBytes(t *testing.T) {
 		{Replicated{Epoch: 7, Msg: Ack{}}, "0a070b"},
 		{WatermarkBroadcast{Client: 2, Ts: clock.Timestamp{Ticks: 500, Client: 2}}, "0d02e80702"},
 		{WALCheckpoint{Epoch: 2, Watermark: clock.Timestamp{Ticks: 100, Client: 1}, LeasePrimary: "p", LeaseExpiry: clock.Timestamp{Ticks: 110, Client: 1}, Data: []DataOp{{Key: []byte("k"), Val: []byte("v"), Version: clock.Timestamp{Ticks: 90, Client: 1}}}}, "2602c801010170dc01010002026b0276b4010100000000"},
-		{WALStatusResponse{Addr: "n5", Enabled: true, AppendedLSN: 12, DurableLSN: 11, CheckpointLSN: 8, Segments: 2, Bytes: 4096, Fsyncs: 7, ReplayRecords: 3, ReplayNs: 1500}, "28026e35010c0b080480400e06b817"},
+		{StatsResponse{Addr: "n5", Obs: obs.Snapshot{Counters: map[string]int64{"c": 3}, Gauges: map[string]int64{"g": -1}}}, "2a026e35020163060201670100"},
+		{AuditResponse{Addr: "n5", Artifacts: [][]byte{[]byte("{}")}}, "2c026e3502037b7d"},
 	}
 	for _, c := range cases {
 		got, err := Codec.Append(nil, c.msg)

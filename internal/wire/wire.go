@@ -321,30 +321,17 @@ type RecoveryPullResponse struct {
 	LeaseExpiry clock.Timestamp
 }
 
-// StatsRequest asks a replica for its operation counters and, when
-// Detailed is set, its full metrics snapshot (histograms included).
-type StatsRequest struct {
-	Detailed bool
-}
+// StatsRequest asks a replica for its metrics snapshot.
+type StatsRequest struct{}
 
-// StatsResponse is a replica's counter snapshot. Obs carries the replica's
-// full obs.Registry snapshot — latency histograms, abort-reason counters,
-// device gauges — when the request asked for detail; snapshots from many
-// replicas merge client-side (obs.Snapshot.Merge) into cluster-wide
-// distributions.
+// StatsResponse carries a replica's full obs.Registry snapshot — op and
+// decision counters, latency histograms, clock, watermark, WAL and audit
+// gauges — the one source of every number a replica view prints. Snapshots
+// from many replicas merge client-side (obs.Snapshot.Merge) into
+// cluster-wide distributions.
 type StatsResponse struct {
-	Addr      string
-	Shard     int
-	Primary   bool
-	Gets      int64
-	Puts      int64
-	Deletes   int64
-	Prepares  int64
-	Commits   int64
-	Aborts    int64
-	ReplOps   int64
-	Watermark clock.Timestamp
-	Obs       obs.Snapshot
+	Addr string
+	Obs  obs.Snapshot
 }
 
 // TraceRequest asks a replica for its retained spans of one trace.
@@ -361,53 +348,16 @@ type TraceResponse struct {
 	Clock clock.Health
 }
 
-// TimeHealthRequest asks a replica for its time-health report.
-type TimeHealthRequest struct{}
-
-// TimeHealthResponse is one node's time-health report: clock sync state,
-// its current clock reading, and how far its watermark trails its clock
-// (the window of replicated-but-not-yet-GC-safe versions, §3.1).
-type TimeHealthResponse struct {
-	Addr    string
-	Shard   int
-	Primary bool
-	Clock   clock.Health
-	Now     clock.Timestamp
-	// Watermark is the node's current watermark; WatermarkLagNs is
-	// Now.Ticks - Watermark.Ticks (0 when no watermark has been observed).
-	Watermark      clock.Timestamp
-	WatermarkLagNs int64
-}
-
-// AuditRequest asks a replica for its online-audit state: counters plus the
-// retained flight-recorder artifacts.
+// AuditRequest asks a replica for its retained flight-recorder artifacts;
+// the auditor's counters are audit_* series in the StatsResponse snapshot.
 type AuditRequest struct{}
 
-// AuditResponse is a replica's audit report. Artifacts carries the
-// flight-recorder dumps JSON-encoded (audit.Artifact), oldest first — wire
-// cannot name the audit types directly (audit builds on check, which builds
-// on wire), so they travel as opaque blobs and are decoded by the tools
-// that display them.
+// AuditResponse carries the flight-recorder dumps JSON-encoded
+// (audit.Artifact), oldest first — wire cannot name the audit types
+// directly (audit builds on check, which builds on wire), so they travel as
+// opaque blobs and are decoded by the tools that display them.
 type AuditResponse struct {
-	Addr    string
-	Enabled bool
-	Profile string
-	// Pending is the auditor's buffered (not yet truncated) transaction
-	// count; UnknownRetained counts outcome-unknown transactions retained
-	// indefinitely.
-	Pending         int
-	UnknownRetained int
-	// WindowsChecked / WindowsSkipped count closed windows by whether the
-	// sampling coin ran the checker on them.
-	WindowsChecked int64
-	WindowsSkipped int64
-	// Convictions counts windows the checker found non-serializable;
-	// EpsilonViolations counts commit timestamps that exceeded the
-	// clock-uncertainty bound.
-	Convictions       int64
-	EpsilonViolations int64
-	// LastCut is the timestamp of the most recent window truncation.
-	LastCut   clock.Timestamp
+	Addr      string
 	Artifacts [][]byte
 }
 
@@ -429,7 +379,7 @@ type TSDBResponse struct {
 	Series     []obs.SeriesDump
 }
 
-// ---- durability (write-ahead log checkpoints + recovery observability) ----
+// ---- durability (write-ahead log checkpoints) ----
 
 // WALCheckpoint is the snapshot a replica writes as its write-ahead-log
 // checkpoint: everything needed to rebuild the server without replaying the
@@ -450,26 +400,4 @@ type WALCheckpoint struct {
 	Txns []TxnRecord
 	// Data is the full multi-version store above the watermark.
 	Data []DataOp
-}
-
-// WALStatusRequest asks a replica for its write-ahead-log state.
-type WALStatusRequest struct{}
-
-// WALStatusResponse reports a replica's durability state: log position,
-// checkpoint coverage, and what the last cold-start replay cost.
-type WALStatusResponse struct {
-	Addr    string
-	Enabled bool
-	// AppendedLSN/DurableLSN/CheckpointLSN are the log positions: last
-	// assigned, last fsynced, and last covered by a checkpoint.
-	AppendedLSN   uint64
-	DurableLSN    uint64
-	CheckpointLSN uint64
-	Segments      int
-	Bytes         int64
-	Fsyncs        int64
-	// ReplayRecords/ReplayNs describe the replica's last cold-start
-	// recovery (zero when the process started from an empty log).
-	ReplayRecords int64
-	ReplayNs      int64
 }
